@@ -19,6 +19,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace, lookup, mean_center, normalize_unit
 from .lexicon import BilingualLexicon, resolve
+from .retrieval import _score_reduce, _unit_rows
 from .solvers import LinearMap, PairedData, apply_map, fit_procrustes
 
 log = logging.getLogger(__name__)
@@ -115,21 +116,19 @@ def induce_dictionary(aligned: AlignedPair, vocab_cap: int) -> BilingualLexicon:
     """
     if len(aligned.source) == 0 or len(aligned.target) == 0:
         raise ValueError("cannot induce a dictionary from an empty space")
+    if vocab_cap < 1:
+        raise ValueError(f"vocab_cap must be positive, got {vocab_cap}")
     n_src = min(vocab_cap, len(aligned.source))
     n_tgt = min(vocab_cap, len(aligned.target))
-    s = aligned.source.matrix[:n_src]
-    t = aligned.target.matrix[:n_tgt]
-    s = s / np.linalg.norm(s, axis=1, keepdims=True)
-    t = t / np.linalg.norm(t, axis=1, keepdims=True)
-    pairs = []
-    for start in range(0, n_src, 1024):
-        stop = min(start + 1024, n_src)
-        nearest = np.argmax(s[start:stop] @ t.T, axis=1)
-        pairs.extend(
-            (aligned.source.vocab[start + i], aligned.target.vocab[j])
-            for i, j in enumerate(nearest)
-        )
-    return BilingualLexicon(pairs)
+    s = _unit_rows(aligned.source.matrix[:n_src], "source")
+    t = _unit_rows(aligned.target.matrix[:n_tgt], "target")
+    nearest = np.empty(n_src, dtype=np.intp)
+    def reduce(start, stop, sims):
+        nearest[start:stop] = np.argmax(sims, axis=1)
+    _score_reduce(s, t.T, reduce)
+    return BilingualLexicon(
+        [(aligned.source.vocab[i], aligned.target.vocab[j]) for i, j in enumerate(nearest)]
+    )
 
 
 def _merge_lexicons(seed: BilingualLexicon, induced: BilingualLexicon) -> BilingualLexicon:

@@ -98,7 +98,8 @@ def load_space(path, limit: int | None = None) -> EmbeddingSpace:
 
     Duplicate tokens keep their first occurrence (a warning reports how many
     were skipped). With ``limit``, reading stops after that many kept rows,
-    in file order.
+    in file order. Without ``limit``, a header's word count must match the
+    number of rows in the file, duplicates included.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
@@ -106,6 +107,7 @@ def load_space(path, limit: int | None = None) -> EmbeddingSpace:
     rows: list[list[float]] = []
     seen: set[str] = set()
     duplicates = 0
+    count: int | None = None
     dim: int | None = None
     with open(path, encoding="utf-8") as fh:
         line_no = 0
@@ -115,7 +117,7 @@ def load_space(path, limit: int | None = None) -> EmbeddingSpace:
             if not parts:
                 continue
             if line_no == 1 and _looks_like_header(parts):
-                dim = int(parts[1])
+                count, dim = int(parts[0]), int(parts[1])
                 continue
             token, comps = _parse_row(parts, dim, line_no, path)
             if dim is None:
@@ -128,6 +130,10 @@ def load_space(path, limit: int | None = None) -> EmbeddingSpace:
             rows.append(comps)
             if limit is not None and len(vocab) >= limit:
                 break
+    if limit is None and count is not None and len(vocab) + duplicates != count:
+        raise ValueError(
+            f"{path}:{line_no}: header declares {count} rows, found {len(vocab) + duplicates}"
+        )
     if not vocab:
         raise ValueError(f"{path}: no vectors found")
     if duplicates:

@@ -8,9 +8,12 @@ self-similarity excluded. Penalizing dense neighborhoods this way keeps
 hub vectors from dominating nearest-neighbor retrieval.
 
 Search is exact brute force. Ties are broken by ascending vocabulary
-index, so results are reproducible. Batch entry points may fan work out
-over a thread pool (size capped by the MEEMI_THREADS environment
-variable, 0 or unset = auto) and always return results in input order.
+index, so results are reproducible. Queries are scored in chunks of
+CHUNK_ROWS rows, each reduced (top-k, mean top-k or argmax) before the
+next, so each temporary peaks at CHUNK_ROWS x V floats. Chunks run one
+after another, since BLAS already parallelises each chunk's matmul; a
+MEEMI_THREADS value above 1 opts into a thread pool of that many workers
+over the chunks. Results always come back in input order.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numpy as np
 from .embeddings import EmbeddingSpace, normalize_unit
 
 DEFAULT_CSLS_K = 10
+CHUNK_ROWS = 256
 
 
 @dataclass
@@ -48,14 +52,11 @@ class RetrievalIndex:
 
 
 def worker_count() -> int:
-    """Thread-pool size for batch queries; MEEMI_THREADS caps it, 0 = auto."""
-    raw = os.environ.get("MEEMI_THREADS", "0")
+    """Chunk-pool size: 1 unless MEEMI_THREADS > 1 opts into a pool (max 64)."""
     try:
-        n = int(raw)
+        n = int(os.environ.get("MEEMI_THREADS", "0"))
     except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
+        n = 1
     return max(1, min(n, 64))
 
 
@@ -67,29 +68,43 @@ def _unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
     return matrix / norms[:, None]
 
 
-def _chunked_matmul(queries: np.ndarray, target_t: np.ndarray, threads: int | None = None) -> np.ndarray:
-    """queries @ target_t with row chunks spread over a thread pool."""
+def _score_reduce(queries: np.ndarray, target_t: np.ndarray, reduce, threads: int | None = None) -> None:
+    """Call reduce(start, stop, queries[start:stop] @ target_t) per row chunk.
+
+    ``reduce`` owns the score block and writes into outputs the caller made.
+    """
     m = queries.shape[0]
-    out = np.empty((m, target_t.shape[1]), dtype=np.float64)
-    threads = worker_count() if threads is None else max(1, threads)
-    chunk = max(1, min(1024, -(-m // threads)))
-    spans = [(start, min(start + chunk, m)) for start in range(0, m, chunk)]
-    if threads == 1 or len(spans) == 1:
-        for start, stop in spans:
-            np.dot(queries[start:stop], target_t, out=out[start:stop])
-        return out
+    spans = [(start, min(start + CHUNK_ROWS, m)) for start in range(0, m, CHUNK_ROWS)]
     def work(span):
         start, stop = span
-        np.dot(queries[start:stop], target_t, out=out[start:stop])
-    with ThreadPoolExecutor(max_workers=min(threads, len(spans))) as pool:
-        list(pool.map(work, spans))
-    return out
+        reduce(start, stop, queries[start:stop] @ target_t)
+    threads = worker_count() if threads is None else threads
+    if threads > 1 and len(spans) > 1:
+        with ThreadPoolExecutor(max_workers=min(threads, len(spans))) as pool:
+            list(pool.map(work, spans))
+    else:
+        for span in spans:
+            work(span)
 
 
 def _stable_topk(scores: np.ndarray, k: int) -> np.ndarray:
-    """Top-k indexes per row, descending score, ties to the lower index."""
-    order = np.argsort(-scores, axis=1, kind="stable")
-    return order[:, :k]
+    """Top-k indexes per row, descending score, ties to the lower index.
+
+    Only the columns scoring at least the row's k-th largest value are
+    stable-sorted, in ascending index order, so the order is a full sort's.
+    """
+    n = scores.shape[1]
+    keep = scores >= np.partition(scores, n - k, axis=1)[:, n - k, None]
+    exact = keep.sum(axis=1) == k
+    out = np.empty((scores.shape[0], k), dtype=np.intp)
+    rows = np.flatnonzero(exact)
+    cols = np.nonzero(keep[rows])[1].reshape(-1, k)
+    order = np.argsort(-scores[rows[:, None], cols], axis=1, kind="stable")
+    out[rows] = np.take_along_axis(cols, order, axis=1)
+    for row in np.flatnonzero(~exact):  # ties straddle the k-th value
+        cols = np.flatnonzero(keep[row])
+        out[row] = cols[np.argsort(-scores[row, cols], kind="stable")[:k]]
+    return out
 
 
 def _mean_topk(scores: np.ndarray, k: int) -> np.ndarray:
@@ -116,24 +131,19 @@ def build_index(
     if csls_k >= len(space):
         raise ValueError(f"csls_k={csls_k} must be smaller than the vocabulary ({len(space)})")
     unit = normalize_unit(space)
+    other = unit.matrix
     if source_space is not None:
         if source_space.dim != space.dim:
             raise ValueError("source space dimension does not match the indexed space")
         if csls_k > len(source_space):
             raise ValueError("csls_k exceeds the registered source vocabulary")
         other = _unit_rows(source_space.matrix, "source")
-        density = np.empty(len(space), dtype=np.float64)
-        for start in range(0, len(space), 1024):
-            stop = min(start + 1024, len(space))
-            sims = unit.matrix[start:stop] @ other.T
-            density[start:stop] = _mean_topk(sims, csls_k)
-    else:
-        density = np.empty(len(space), dtype=np.float64)
-        for start in range(0, len(space), 1024):
-            stop = min(start + 1024, len(space))
-            sims = unit.matrix[start:stop] @ unit.matrix.T
+    density = np.empty(len(space), dtype=np.float64)
+    def reduce(start, stop, sims):
+        if source_space is None:
             sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-            density[start:stop] = _mean_topk(sims, csls_k)
+        density[start:stop] = _mean_topk(sims, csls_k)
+    _score_reduce(unit.matrix, other.T, reduce)
     return RetrievalIndex(unit, csls_k, density)
 
 
@@ -148,10 +158,13 @@ def batch_cosine_topk(
     if queries.shape[1] != space.dim:
         raise ValueError(f"query dimension {queries.shape[1]} != space dimension {space.dim}")
     unit = normalize_unit(space)
-    q = _unit_rows(queries, "query")
-    scores = _chunked_matmul(q, unit.matrix.T, threads)
-    idx = _stable_topk(scores, k)
-    return idx, np.take_along_axis(scores, idx, axis=1)
+    idx = np.empty((queries.shape[0], k), dtype=np.intp)
+    top = np.empty((queries.shape[0], k), dtype=np.float64)
+    def reduce(start, stop, sims):
+        idx[start:stop] = _stable_topk(sims, k)
+        top[start:stop] = np.take_along_axis(sims, idx[start:stop], axis=1)
+    _score_reduce(_unit_rows(queries, "query"), unit.matrix.T, reduce, threads)
+    return idx, top
 
 
 def batch_csls_topk(
@@ -172,22 +185,27 @@ def batch_csls_topk(
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != index.space.dim:
         raise ValueError(f"query dimension {queries.shape[1]} != index dimension {index.space.dim}")
-    q = _unit_rows(queries, "query")
-    cos = _chunked_matmul(q, index.space.matrix.T, threads)
-    if query_density is None:
-        r_query = _mean_topk(cos, index.csls_k)
-    else:
-        r_query = np.broadcast_to(
+    if query_density is not None:
+        query_density = np.broadcast_to(
             np.asarray(query_density, dtype=np.float64), (queries.shape[0],)
         )
-    scores = 2.0 * cos - r_query[:, None] - index.csls_density[None, :]
-    idx = _stable_topk(scores, k)
-    return idx, np.take_along_axis(scores, idx, axis=1)
+    idx = np.empty((queries.shape[0], k), dtype=np.intp)
+    top = np.empty((queries.shape[0], k), dtype=np.float64)
+    def reduce(start, stop, cos):
+        if query_density is None:
+            r_query = _mean_topk(cos, index.csls_k)
+        else:
+            r_query = query_density[start:stop]
+        scores = 2.0 * cos - r_query[:, None] - index.csls_density[None, :]
+        idx[start:stop] = _stable_topk(scores, k)
+        top[start:stop] = np.take_along_axis(scores, idx[start:stop], axis=1)
+    _score_reduce(_unit_rows(queries, "query"), index.space.matrix.T, reduce, threads)
+    return idx, top
 
 
 def knn_cosine(index: RetrievalIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
     """Ranked (token, cosine) list of the k nearest rows to one query."""
-    idx, scores = batch_cosine_topk(index.space, query, k, threads=1)
+    idx, scores = batch_cosine_topk(index.space, query, k)
     return [(index.space.vocab[i], float(s)) for i, s in zip(idx[0], scores[0])]
 
 
@@ -196,5 +214,5 @@ def knn_csls(
 ) -> list[tuple[str, float]]:
     """Ranked (token, CSLS score) list of the k best rows for one query."""
     density = None if query_density is None else np.array([query_density])
-    idx, scores = batch_csls_topk(index, query, k, query_density=density, threads=1)
+    idx, scores = batch_csls_topk(index, query, k, query_density=density)
     return [(index.space.vocab[i], float(s)) for i, s in zip(idx[0], scores[0])]

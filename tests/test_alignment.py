@@ -113,6 +113,12 @@ class TestInduce:
         _, pair = self.aligned_fixture()
         assert len(induce_dictionary(pair, vocab_cap=1)) == 1
 
+    @pytest.mark.parametrize("cap", [0, -1])
+    def test_cap_must_be_positive(self, cap):
+        _, pair = self.aligned_fixture()
+        with pytest.raises(ValueError, match="vocab_cap must be positive"):
+            induce_dictionary(pair, vocab_cap=cap)
+
     def test_cap_clamped(self):
         fx, pair = self.aligned_fixture()
         induced = induce_dictionary(pair, vocab_cap=10_000)

@@ -75,6 +75,20 @@ class TestLoad:
         path = write(tmp_path, "a 1 0\nb 0 1\nc 1 1\n")
         assert load_space(path, limit=2).vocab == ["a", "b"]
 
+    @pytest.mark.parametrize("declared", [5, 1], ids=["truncated", "extra-rows"])
+    def test_header_count_mismatch_names_file_and_line(self, tmp_path, declared):
+        path = write(tmp_path, f"{declared} 3\ncat 1 0 0\ndog 0 1 0\n")
+        with pytest.raises(ValueError, match=rf"space\.vec:3: header declares {declared} rows, found 2"):
+            load_space(path)
+
+    def test_duplicate_rows_count_toward_header(self, tmp_path):
+        space = load_space(write(tmp_path, "3 2\ncat 1 0\ncat 2 0\ndog 0 1\n"))
+        assert space.vocab == ["cat", "dog"]
+
+    def test_limit_reads_prefix_without_count_check(self, tmp_path):
+        path = write(tmp_path, "3 2\na 1 0\nb 0 1\nc 1 1\n")
+        assert load_space(path, limit=2).vocab == ["a", "b"]
+
     def test_bad_limit(self, tmp_path):
         with pytest.raises(ValueError, match="limit"):
             load_space(write(tmp_path, "a 1 0\n"), limit=0)

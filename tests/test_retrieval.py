@@ -43,6 +43,18 @@ def oracle_csls_ranking(target_matrix, query, csls_k):
     return sorted(range(n), key=lambda i: (-scores[i], i))
 
 
+def exact_tie_rows(rng, n, d, distinct):
+    """n rows drawn from ``distinct`` vectors with four entries of +-1.
+
+    Every row has norm 2, so unit rows hold +-0.5 and every cosine is a
+    multiple of 0.25: all scores are exact and ties are true ties.
+    """
+    base = np.zeros((distinct, d))
+    for row in base:
+        row[rng.choice(d, 4, replace=False)] = rng.choice([-1.0, 1.0], 4)
+    return base[rng.integers(0, distinct, size=n)]
+
+
 def space_from(matrix, prefix="t"):
     matrix = np.asarray(matrix, dtype=np.float64)
     return EmbeddingSpace([f"{prefix}{i:03d}" for i in range(len(matrix))], matrix)
@@ -68,6 +80,18 @@ class TestBuildIndex:
         index = build_index(space_from(rng.standard_normal((40, 6))), csls_k=5)
         assert index.csls_density.min() >= -1.0 - 1e-12
         assert index.csls_density.max() <= 1.0 + 1e-12
+
+    def test_self_density_across_chunks(self):
+        # 600 rows span three query chunks; a wrong diagonal offset in a
+        # later chunk would count a row's own similarity of 1
+        rng = np.random.default_rng(8)
+        matrix = rng.standard_normal((600, 8))
+        index = build_index(space_from(matrix), csls_k=5)
+        t = unit(matrix)
+        sims = t @ t.T
+        np.fill_diagonal(sims, -np.inf)
+        want = np.sort(sims, axis=1)[:, -5:].mean(axis=1)
+        assert np.abs(index.csls_density - want).max() <= 1e-12
 
     def test_source_registered_density(self):
         rng = np.random.default_rng(1)
@@ -206,23 +230,49 @@ class TestOracleAgreement:
         idx, _ = batch_csls_topk(index, query, k=n)
         assert list(idx[0]) == oracle_csls_ranking(matrix, query, csls_k=3)
 
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25)
+    def test_ties_at_kth_value_match_oracles(self, seed):
+        # k below n reaches the partition path; with few distinct rows the
+        # k-th value is often shared, so both its exact-count rows and its
+        # per-row tie path run
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(8, 40))
+        d = int(rng.integers(4, 7))
+        matrix = exact_tie_rows(rng, n, d, distinct=int(rng.integers(3, n)))
+        queries = exact_tie_rows(rng, 6, d, distinct=6)
+        k = int(rng.integers(1, n))
+        cos_idx, _ = batch_cosine_topk(space_from(matrix), queries, k=k)
+        csls_idx, _ = batch_csls_topk(build_index(space_from(matrix), csls_k=3), queries, k=k)
+        for q, query in enumerate(queries):
+            assert list(cos_idx[q]) == oracle_cosine_ranking(matrix, query)[:k]
+            assert list(csls_idx[q]) == oracle_csls_ranking(matrix, query, csls_k=3)[:k]
+
 
 class TestBatch:
     def test_batch_order_matches_serial(self):
+        # 600 queries fill two 256-row chunks and a partial third
         rng = np.random.default_rng(7)
         space = space_from(rng.standard_normal((50, 6)))
-        queries = rng.standard_normal((12, 6))
-        idx_serial, _ = batch_cosine_topk(space, queries, k=5, threads=1)
-        idx_parallel, _ = batch_cosine_topk(space, queries, k=5, threads=4)
-        assert np.array_equal(idx_serial, idx_parallel)
+        index = build_index(space, csls_k=3)
+        queries = rng.standard_normal((600, 6))
+        for search, target in ((batch_cosine_topk, space), (batch_csls_topk, index)):
+            idx_serial, scores_serial = search(target, queries, k=5, threads=1)
+            idx_parallel, scores_parallel = search(target, queries, k=5, threads=4)
+            assert np.array_equal(idx_serial, idx_parallel)
+            assert np.array_equal(scores_serial, scores_parallel)
+            idx_one, _ = search(target, queries[300], k=5)
+            assert np.array_equal(idx_serial[300], idx_one[0])
 
     def test_worker_count_env(self, monkeypatch):
+        monkeypatch.delenv("MEEMI_THREADS", raising=False)
+        assert worker_count() == 1
         monkeypatch.setenv("MEEMI_THREADS", "3")
         assert worker_count() == 3
         monkeypatch.setenv("MEEMI_THREADS", "0")
-        assert worker_count() >= 1
+        assert worker_count() == 1
         monkeypatch.setenv("MEEMI_THREADS", "junk")
-        assert worker_count() >= 1
+        assert worker_count() == 1
 
     def test_query_dimension_checked(self):
         space = space_from(np.eye(3))
