@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -48,30 +47,12 @@ class UsageError(Exception):
     """Bad arguments or missing input files; maps to exit code 2."""
 
 
-@dataclass
-class PipelineConfig:
-    """Validated bundle of paths and settings for one pipeline step."""
-
-    src: str | None = None
-    tgt: str | None = None
-    dictionary: str | None = None
-    test: str | None = None
-    out: str | None = None
-    alignment: AlignmentConfig = field(default_factory=AlignmentConfig)
-    retrieval: str = "cosine"
-    csls_k: int = 10
-    seed: int = 42
-    limit: int | None = None
-
-    def validate(self) -> None:
-        for label, path in (
-            ("--src", self.src),
-            ("--tgt", self.tgt),
-            ("--dict", self.dictionary),
-            ("--test", self.test),
-        ):
-            if path is not None and not os.path.exists(path):
-                raise UsageError(f"{label} path does not exist: {path}")
+def _require_paths(args, *flags: str) -> None:
+    """Raise UsageError for the first given ``--flag`` path that does not exist."""
+    for flag in flags:
+        path = getattr(args, flag)
+        if path is not None and not os.path.exists(path):
+            raise UsageError(f"--{flag} path does not exist: {path}")
 
 
 def _identity_pair(src, tgt, limit=None) -> AlignedPair:
@@ -105,25 +86,21 @@ def _emit_report(report, args) -> None:
 
 
 def cmd_align(args) -> int:
-    cfg = PipelineConfig(
-        src=args.src, tgt=args.tgt, dictionary=args.dict, out=args.out,
-        alignment=AlignmentConfig(
-            normalize=_parse_normalize(args.normalize),
-            self_learning=args.self_learning,
-            max_iterations=args.max_iter,
-            convergence_tol=args.tol,
-            induction_vocab_cap=args.cap,
-        ),
-        seed=args.seed, limit=args.limit,
+    config = AlignmentConfig(
+        normalize=_parse_normalize(args.normalize),
+        self_learning=args.self_learning,
+        max_iterations=args.max_iter,
+        convergence_tol=args.tol,
+        induction_vocab_cap=args.cap,
     )
-    cfg.validate()
+    _require_paths(args, "src", "tgt", "dict")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    src = load_space(cfg.src, cfg.limit)
-    tgt = load_space(cfg.tgt, cfg.limit)
-    lexicon = load_lexicon(cfg.dictionary)
+    src = load_space(args.src, args.limit)
+    tgt = load_space(args.tgt, args.limit)
+    lexicon = load_lexicon(args.dict)
     _, coverage = resolve(lexicon, src, tgt)
-    pair = align_supervised(src, tgt, lexicon, cfg.alignment)
+    pair = align_supervised(src, tgt, lexicon, config)
     save_space(pair.source, out / "source_mapped.vec")
     save_space(pair.target, out / "target_normalized.vec")
     save_map(pair.map, out / "alignment.map")
@@ -133,22 +110,16 @@ def cmd_align(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    cfg = PipelineConfig(
-        src=args.src, tgt=args.tgt, dictionary=args.dict, out=args.out,
-        seed=args.seed, limit=args.limit,
-    )
-    cfg.validate()
-    if args.map and not os.path.exists(args.map):
-        raise UsageError(f"--map path does not exist: {args.map}")
+    _require_paths(args, "src", "tgt", "dict", "map")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    src = load_space(cfg.src, cfg.limit)
-    tgt = load_space(cfg.tgt, cfg.limit)
+    src = load_space(args.src, args.limit)
+    tgt = load_space(args.tgt, args.limit)
     alignment_map = (
         load_map(args.map) if args.map else LinearMap(np.eye(src.dim), orthogonal=True)
     )
     before = AlignedPair(src, tgt, alignment_map, iterations_run=0)
-    lexicon = load_lexicon(cfg.dictionary)
+    lexicon = load_lexicon(args.dict)
     model = fit_meemi(before, lexicon)
     after = apply_meemi(model, before)
     shift = similarity_shift_report(before, after, lexicon)
@@ -163,9 +134,8 @@ def cmd_refine(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    cfg = PipelineConfig(src=args.src, tgt=args.tgt, limit=args.limit)
-    cfg.validate()
-    pair = _identity_pair(cfg.src, cfg.tgt, cfg.limit)
+    _require_paths(args, "src", "tgt")
+    pair = _identity_pair(args.src, args.tgt, args.limit)
     induced = induce_dictionary(pair, args.cap)
     save_lexicon(induced, args.out)
     print(f"induced {len(induced)} pairs")
@@ -173,33 +143,26 @@ def cmd_induce(args) -> int:
 
 
 def cmd_eval_bli(args) -> int:
-    cfg = PipelineConfig(
-        src=args.src, tgt=args.tgt, test=args.test,
-        retrieval=args.retrieval, csls_k=args.csls_k, limit=args.limit,
-    )
-    cfg.validate()
-    pair = _identity_pair(cfg.src, cfg.tgt, cfg.limit)
+    _require_paths(args, "src", "tgt", "test")
+    pair = _identity_pair(args.src, args.tgt, args.limit)
     report = eval_bli(
         pair,
-        load_lexicon(cfg.test),
-        retrieval=cfg.retrieval,
+        load_lexicon(args.test),
+        retrieval=args.retrieval,
         ks=_parse_ks(args.k),
-        csls_k=cfg.csls_k,
-        dataset=Path(cfg.test).name,
+        csls_k=args.csls_k,
+        dataset=Path(args.test).name,
     )
     _emit_report(report, args)
     return 0
 
 
 def cmd_eval_sim(args) -> int:
-    cfg = PipelineConfig(src=args.src, tgt=args.tgt, limit=args.limit)
-    cfg.validate()
-    if not os.path.exists(args.dataset):
-        raise UsageError(f"--dataset path does not exist: {args.dataset}")
+    _require_paths(args, "src", "tgt", "dataset")
     if args.cross and not args.tgt:
         raise UsageError("--cross requires --tgt")
-    space_a = load_space(cfg.src, cfg.limit)
-    space_b = load_space(cfg.tgt, cfg.limit) if args.cross else space_a
+    space_a = load_space(args.src, args.limit)
+    space_b = load_space(args.tgt, args.limit) if args.cross else space_a
     report = eval_similarity(
         space_a, space_b, load_similarity(args.dataset), dataset_name=Path(args.dataset).name
     )
@@ -208,26 +171,20 @@ def cmd_eval_sim(args) -> int:
 
 
 def cmd_eval_hyper(args) -> int:
-    cfg = PipelineConfig(
-        src=args.src, tgt=args.tgt, test=args.test,
-        retrieval=args.retrieval, csls_k=args.csls_k, limit=args.limit,
-    )
-    cfg.validate()
-    if not os.path.exists(args.train):
-        raise UsageError(f"--train path does not exist: {args.train}")
+    _require_paths(args, "src", "tgt", "test", "train")
     if args.tgt:
-        space = _identity_pair(cfg.src, cfg.tgt, cfg.limit)
+        space = _identity_pair(args.src, args.tgt, args.limit)
     else:
-        space = load_space(cfg.src, cfg.limit)
+        space = load_space(args.src, args.limit)
     projection = fit_hypernym_projection(space, load_hypernyms(args.train))
     report = eval_hypernyms(
         space,
         projection,
-        load_hypernyms(cfg.test),
+        load_hypernyms(args.test),
         k=args.k,
-        retrieval=cfg.retrieval,
-        csls_k=cfg.csls_k,
-        dataset_name=Path(cfg.test).name,
+        retrieval=args.retrieval,
+        csls_k=args.csls_k,
+        dataset_name=Path(args.test).name,
     )
     _emit_report(report, args)
     return 0
@@ -236,26 +193,22 @@ def cmd_eval_hyper(args) -> int:
 def cmd_inspect(args) -> int:
     if args.k < 1:
         raise UsageError("--k must be at least 1")
-    cfg = PipelineConfig(
-        src=args.src, tgt=args.tgt, retrieval=args.retrieval,
-        csls_k=args.csls_k, limit=args.limit,
-    )
-    cfg.validate()
-    src = load_space(cfg.src, cfg.limit)
+    _require_paths(args, "src", "tgt")
+    src = load_space(args.src, args.limit)
     query = lookup(src, args.word)
     if query is None:
         raise ValueError(f"word {args.word!r} is not in the source vocabulary")
-    if cfg.tgt:
-        candidates = load_space(cfg.tgt, cfg.limit)
+    if args.tgt:
+        candidates = load_space(args.tgt, args.limit)
         drop_self = False
-        density_space = src if cfg.retrieval == "csls" else None
+        density_space = src if args.retrieval == "csls" else None
     else:
         candidates = src
         drop_self = True
         density_space = None
     k = args.k + 1 if drop_self else args.k
-    if cfg.retrieval == "csls":
-        index = build_index(candidates, cfg.csls_k, source_space=density_space)
+    if args.retrieval == "csls":
+        index = build_index(candidates, args.csls_k, source_space=density_space)
         neighbors = knn_csls(index, query, None, k)
     else:
         idx, scores = batch_cosine_topk(candidates, query, k)
@@ -297,7 +250,8 @@ def _add_common(parser, *, tgt_required=True, with_out=False):
     parser.add_argument("--src", required=True, help="source embedding file (.vec)")
     parser.add_argument("--tgt", required=tgt_required, default=None, help="target embedding file")
     parser.add_argument("--limit", type=int, default=None, help="max vocabulary per space")
-    parser.add_argument("--seed", type=int, default=42)
+    parser.add_argument("--seed", type=int, default=42,
+                        help="accepted for uniform scripts; only `fixture` draws random numbers")
     parser.add_argument("--config", default=None, help="key=value defaults file")
     if with_out:
         parser.add_argument("--out", required=True, help="output directory")

@@ -4,21 +4,35 @@ All vector arithmetic runs in 64-bit floats regardless of how many digits
 the input file carried. Spaces are immutable after construction: every
 transformation returns a fresh space, and the underlying matrix is marked
 read-only, so instances are safe to share across threads.
+
+The text file is the single source of truth. ``save_space`` also writes a
+binary sidecar ``<path>.npz`` (uncompressed, about 8 bytes per component)
+holding the SHA-256 of the text bytes it wrote, the vocabulary as UTF-8
+and the float64 matrix. ``load_space`` takes the sidecar only when the
+text's digest still matches it and its values pass the checks the text
+parse makes; otherwise it parses the text, which gives the same space
+because ``repr`` round-trips float64 exactly. Deleting a sidecar is always
+safe: the next load parses the text.
 """
 
 from __future__ import annotations
 
+import hashlib
 import logging
+import os
+import zipfile
 from dataclasses import dataclass
 
 import numpy as np
 
 log = logging.getLogger(__name__)
 
+HASH_CHUNK_BYTES = 1 << 20
 
-def format_component(x: float) -> str:
-    """Render one float with full round-trip precision (shortest repr)."""
-    return repr(float(x))
+
+def format_row(row: np.ndarray) -> str:
+    """Space-separated shortest ``repr`` of each float: round-trips float64 exactly."""
+    return " ".join(map(repr, row.tolist()))
 
 
 @dataclass
@@ -93,16 +107,61 @@ def _parse_row(parts: list[str], dim: int | None, line_no: int, path) -> tuple[s
     return token, comps
 
 
+def _sidecar_path(path) -> str:
+    return os.fspath(path) + ".npz"
+
+
+def _file_sha256(path) -> bytes:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        while chunk := fh.read(HASH_CHUNK_BYTES):
+            digest.update(chunk)
+    return digest.digest()
+
+
+def _load_sidecar(path, limit: int | None) -> EmbeddingSpace | None:
+    """The space ``save_space`` wrote to ``path``, if its sidecar still matches the text."""
+    sidecar = _sidecar_path(path)
+    if not os.path.exists(sidecar):
+        return None
+    try:
+        with np.load(sidecar, allow_pickle=False) as npz:
+            if npz["sha256"].tobytes() != _file_sha256(path):
+                log.debug("%s: sidecar is stale", path)
+                return None
+            vocab = npz["vocab"].tobytes().decode("utf-8").split("\n")
+            matrix = npz["matrix"]
+        if matrix.dtype != np.float64 or matrix.ndim != 2:
+            return None
+        if limit is not None and limit < len(vocab):
+            vocab, matrix = vocab[:limit], matrix[:limit].copy()
+        # Zero rows (and, through EmbeddingSpace, non-finite ones) go back to
+        # the text parse for its line-numbered error.
+        if not (matrix != 0.0).any(axis=1).all():
+            return None
+        return EmbeddingSpace(vocab, matrix)
+    except (OSError, EOFError, KeyError, NotImplementedError, TypeError, ValueError,
+            zipfile.BadZipFile) as exc:
+        log.debug("%s: unreadable sidecar (%s)", path, exc)
+        return None
+
+
 def load_space(path, limit: int | None = None) -> EmbeddingSpace:
     """Load a word2vec text file, auto-detecting the optional count/dim header.
 
     Duplicate tokens keep their first occurrence (a warning reports how many
     were skipped). With ``limit``, reading stops after that many kept rows,
     in file order. Without ``limit``, a header's word count must match the
-    number of rows in the file, duplicates included.
+    number of rows in the file, duplicates included. A matching sidecar
+    ``<path>.npz`` (see the module docstring) gives the same space unparsed.
     """
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
+    space = _load_sidecar(path, limit)
+    if space is not None:
+        log.debug("%s: loaded from its sidecar", path)
+        return space
+    log.debug("%s: parsing text", path)
     vocab: list[str] = []
     rows: list[list[float]] = []
     seen: set[str] = set()
@@ -142,13 +201,26 @@ def load_space(path, limit: int | None = None) -> EmbeddingSpace:
 
 
 def save_space(space: EmbeddingSpace, path) -> None:
-    """Write a space as word2vec text: header line, then one row per token."""
+    """Write a space as word2vec text (header line, then one row per token) plus its sidecar."""
     if len(space) == 0:
         raise ValueError("refusing to write an empty embedding space")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{len(space)} {space.dim}\n")
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        def emit(line: str) -> None:
+            data = line.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+        emit(f"{len(space)} {space.dim}\n")
         for token, row in zip(space.vocab, space.matrix):
-            fh.write(token + " " + " ".join(format_component(x) for x in row) + "\n")
+            emit(f"{token} {format_row(row)}\n")
+    # np.savez stamps every member with the zip epoch, so equal spaces give equal bytes.
+    np.savez(
+        _sidecar_path(path),
+        sha256=np.frombuffer(digest.digest(), dtype=np.uint8),
+        vocab=np.frombuffer("\n".join(space.vocab).encode("utf-8"), dtype=np.uint8),
+        matrix=space.matrix,
+    )
 
 
 def normalize_unit(space: EmbeddingSpace) -> EmbeddingSpace:

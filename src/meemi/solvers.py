@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, format_component
+from .embeddings import EmbeddingSpace, format_row
 
 ORTHOGONALITY_TOL = 1e-8
 
@@ -123,7 +123,7 @@ def save_map(linear_map: LinearMap, path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"{linear_map.d_in} {linear_map.d_out} {1 if linear_map.orthogonal else 0}\n")
         for row in linear_map.matrix:
-            fh.write(" ".join(format_component(x) for x in row) + "\n")
+            fh.write(format_row(row) + "\n")
 
 
 def load_map(path) -> LinearMap:

@@ -334,3 +334,25 @@ class TestFixtureCommand:
 
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 2
+
+
+class TestMissingPaths:
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (["refine", "--dict", "{dict}", "--out", "{out}"], "--map"),
+            (["eval", "bli", "--src", "{src}", "--tgt", "{tgt}"], "--test"),
+            (["eval", "sim", "--src", "{src}"], "--dataset"),
+            (["eval", "hyper", "--src", "{src}", "--test", "{dict}"], "--train"),
+            (["induce", "--src", "{src}", "--out", "{out}"], "--tgt"),
+            (["inspect", "w0", "--src", "{src}"], "--tgt"),
+        ],
+    )
+    def test_missing_path_is_usage_error(self, rotated_files, tmp_path, capsys, command, flag):
+        fill = {key: str(path) for key, path in rotated_files.items()}
+        fill["out"] = str(tmp_path / "out")
+        argv = [part.format(**fill) for part in command] + [flag, str(tmp_path / "nope")]
+        if command[0] == "refine":
+            argv += ["--src", fill["src"], "--tgt", fill["tgt"]]
+        assert main(argv) == 2
+        assert f"{flag} path does not exist" in capsys.readouterr().err

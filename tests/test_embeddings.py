@@ -1,9 +1,11 @@
 import logging
+import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from meemi.embeddings import (
     EmbeddingSpace,
@@ -19,6 +21,33 @@ def write(tmp_path, text, name="space.vec"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+def sidecar(path):
+    return path.with_name(path.name + ".npz")
+
+
+def same_space(a, b):
+    """Equal vocab and bit-identical matrices (signed zeros included)."""
+    return a.vocab == b.vocab and a.matrix.shape == b.matrix.shape and (
+        a.matrix.tobytes() == b.matrix.tobytes()
+    )
+
+
+TOKENS = st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6
+).filter(lambda t: not any(ch.isspace() for ch in t))
+
+
+@st.composite
+def spaces(draw):
+    """Spaces with any finite float64 components and no all-zero row."""
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    vocab = draw(st.lists(TOKENS, min_size=n, max_size=n, unique=True))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    matrix = draw(hnp.arrays(np.float64, (n, d), elements=finite))
+    assume((matrix != 0.0).any(axis=1).all())
+    return EmbeddingSpace(vocab, matrix)
 
 
 def random_space(seed, n=None, d=None):
@@ -93,6 +122,31 @@ class TestLoad:
         with pytest.raises(ValueError, match="limit"):
             load_space(write(tmp_path, "a 1 0\n"), limit=0)
 
+    @pytest.mark.parametrize("found", [0, 2])
+    def test_file_cut_inside_last_row(self, tmp_path, found):
+        path = tmp_path / "s.vec"
+        save_space(random_space(6, n=4, d=3), path)
+        sidecar(path).unlink()
+        data = path.read_bytes()
+        cut = data.index(b"w3") + 2 if found == 0 else data.rindex(b" ")
+        path.write_bytes(data[:cut])
+        message = rf"s\.vec:5: expected 3 components for 'w3', found {found}"
+        with pytest.raises(ValueError, match=message):
+            load_space(path)
+
+    def test_header_with_no_rows(self, tmp_path):
+        with pytest.raises(ValueError, match=r"space\.vec:1: header declares 3 rows, found 0"):
+            load_space(write(tmp_path, "3 2\n"))
+        with pytest.raises(ValueError, match="no vectors"):
+            load_space(write(tmp_path, "0 2\n"))
+
+    def test_crlf_line_endings(self, tmp_path):
+        space = random_space(7)
+        path = tmp_path / "s.vec"
+        save_space(space, path)
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        assert same_space(load_space(path), space)
+
 
 class TestSave:
     def test_roundtrip(self, tmp_path):
@@ -113,14 +167,99 @@ class TestSave:
         save_space(EmbeddingSpace(["cat"], np.array([[1.0, 2.0]])), path)
         assert len(path.read_text().splitlines()) == 2
 
-    @given(seed=st.integers(0, 10_000))
-    def test_roundtrip_property(self, tmp_path_factory, seed):
-        space = random_space(seed)
+    @given(space=spaces(), limit=st.integers(1, 7))
+    def test_roundtrip_property(self, tmp_path_factory, space, limit):
         path = tmp_path_factory.mktemp("rt") / "s.vec"
         save_space(space, path)
-        back = load_space(path)
-        assert back.vocab == space.vocab
-        assert np.abs(back.matrix - space.matrix).max() <= 1e-6
+        prefix = EmbeddingSpace(space.vocab[:limit], space.matrix[:limit])
+        assert same_space(load_space(path), space)
+        assert same_space(load_space(path, limit=limit), prefix)
+        sidecar(path).unlink()
+        assert same_space(load_space(path), space)
+        assert same_space(load_space(path, limit=limit), prefix)
+
+    def test_text_bytes_pinned(self, tmp_path):
+        path = tmp_path / "s.vec"
+        matrix = np.array([[0.1, -0.0, 1 / 3], [1e-310, 1.7976931348623157e308, -2.5]])
+        save_space(EmbeddingSpace(["cat", "h\u00e9llo"], matrix), path)
+        assert path.read_bytes() == (
+            b"2 3\ncat 0.1 -0.0 0.3333333333333333\n"
+            b"h\xc3\xa9llo 1e-310 1.7976931348623157e+308 -2.5\n"
+        )
+
+
+class TestSidecar:
+    def test_load_takes_sidecar(self, tmp_path, caplog):
+        path = tmp_path / "s.vec"
+        save_space(random_space(8), path)
+        assert sidecar(path).exists()
+        with caplog.at_level(logging.DEBUG, logger="meemi.embeddings"):
+            load_space(path)
+        assert "loaded from its sidecar" in caplog.text
+        assert "parsing text" not in caplog.text
+
+    def test_one_edited_byte_forces_text_path(self, tmp_path, caplog):
+        space = EmbeddingSpace(["a", "b"], np.array([[1.5, 2.0], [3.0, 4.0]]))
+        path = tmp_path / "s.vec"
+        save_space(space, path)
+        path.write_bytes(path.read_bytes().replace(b"a 1.5", b"a 1.6"))
+        with caplog.at_level(logging.DEBUG, logger="meemi.embeddings"):
+            back = load_space(path)
+        assert "sidecar is stale" in caplog.text
+        assert back.matrix[0, 0] == 1.6
+
+    def test_truncated_text_next_to_valid_sidecar_raises_text_error(self, tmp_path):
+        path = tmp_path / "s.vec"
+        save_space(random_space(9, n=4, d=3), path)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[:-1]))
+        with pytest.raises(ValueError, match=r"s\.vec:4: header declares 4 rows, found 3"):
+            load_space(path)
+
+    def test_damaged_or_missing_sidecar_falls_back(self, tmp_path):
+        space = random_space(10, n=5, d=3)
+        path = tmp_path / "s.vec"
+        save_space(space, path)
+        good = sidecar(path).read_bytes()
+        damaged = [good[:n] for n in range(len(good))]
+        damaged += [good[:i] + bytes([good[i] ^ 0x5A]) + good[i + 1:] for i in range(len(good))]
+        for data in damaged:
+            sidecar(path).write_bytes(data)
+            assert same_space(load_space(path), space)
+        sidecar(path).write_bytes(b"\x93NUMPY not a zip")
+        assert same_space(load_space(path), space)
+        sidecar(path).unlink()
+        assert same_space(load_space(path), space)
+
+    def test_non_finite_sidecar_values_go_to_text(self, tmp_path):
+        space = random_space(11, n=3, d=2)
+        path = tmp_path / "s.vec"
+        save_space(space, path)
+        with np.load(sidecar(path)) as npz:
+            arrays = dict(npz)
+        arrays["matrix"] = arrays["matrix"].copy()
+        arrays["matrix"][1, 0] = np.nan
+        np.savez(sidecar(path), **arrays)
+        assert same_space(load_space(path), space)
+
+    @pytest.mark.parametrize("keep_sidecar", [True, False])
+    def test_zero_row_same_error_either_path(self, tmp_path, keep_sidecar):
+        path = tmp_path / "s.vec"
+        save_space(EmbeddingSpace(["a", "z"], np.array([[1.0, 0.0], [0.0, -0.0]])), path)
+        if not keep_sidecar:
+            sidecar(path).unlink()
+        with pytest.raises(ValueError, match=r"s\.vec:3: all-zero vector for token 'z'"):
+            load_space(path)
+        assert load_space(path, limit=1).vocab == ["a"]
+
+    def test_two_saves_give_identical_bytes(self, tmp_path, monkeypatch):
+        space = random_space(12)
+        first, second = tmp_path / "a.vec", tmp_path / "b.vec"
+        save_space(space, first)
+        monkeypatch.setattr(time, "time", lambda: 1e9)  # a save at another time
+        save_space(space, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert sidecar(first).read_bytes() == sidecar(second).read_bytes()
 
 
 class TestNormalize:

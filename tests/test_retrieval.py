@@ -105,6 +105,22 @@ class TestBuildIndex:
             assert index.csls_density[j] == pytest.approx(np.mean(sims[-3:]))
 
 
+    def test_density_sides_hand_computed(self):
+        # Unit targets t0=(1,0), t1=(0,1), t2=(.6,.8); mapped sources s0=(1,0),
+        # s1=(.8,.6), s2=(0,-1). With csls_k=2, r_S(y) averages y's two largest
+        # cosines to the sources; the self fallback uses the other targets.
+        # Swapping sides (r_T of the sources) would give 0.8, 0.88, -0.4.
+        tgt = space_from(np.array([[2.0, 0.0], [0.0, 3.0], [0.6, 0.8]]))
+        src = space_from(np.array([[1.0, 0.0], [0.8, 0.6], [0.0, -5.0]]), prefix="s")
+        mapped = build_index(tgt, csls_k=2, source_space=src)
+        assert mapped.csls_density == pytest.approx([0.9, 0.3, 0.78], abs=1e-12)
+        assert build_index(tgt, csls_k=2).csls_density == pytest.approx([0.3, 0.4, 0.7], abs=1e-12)
+        # CSLS(x, y) = 2 cos - r_T(x) - r_S(y), with r_T((1,0)) = (1 + .6) / 2
+        ranked = knn_csls(mapped, np.array([1.0, 0.0]), k=3)
+        assert [t for t, _ in ranked] == ["t000", "t002", "t001"]
+        assert [s for _, s in ranked] == pytest.approx([0.3, -0.38, -1.1], abs=1e-12)
+
+
 class TestKnnCosine:
     def test_exact_row_ranks_first(self):
         rng = np.random.default_rng(2)

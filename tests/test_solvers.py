@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from meemi.embeddings import EmbeddingSpace
 from meemi.solvers import (
@@ -215,6 +216,28 @@ class TestSerialization:
         back = load_map(path)
         assert back.orthogonal is True
         assert np.array_equal(back.matrix, original.matrix)
+
+    @given(
+        matrix=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=5),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    def test_roundtrip_property(self, tmp_path_factory, matrix):
+        path = tmp_path_factory.mktemp("rt") / "m.map"
+        save_map(LinearMap(matrix), path)
+        back = load_map(path)
+        assert back.matrix.shape == matrix.shape
+        assert back.matrix.tobytes() == matrix.tobytes()
+
+    def test_bytes_pinned(self, tmp_path):
+        path = tmp_path / "m.map"
+        matrix = np.array([[0.1, -0.0, 1 / 3], [1e-310, 1.7976931348623157e308, -2.5]])
+        save_map(LinearMap(matrix), path)
+        assert path.read_bytes() == (
+            b"2 3 0\n0.1 -0.0 0.3333333333333333\n1e-310 1.7976931348623157e+308 -2.5\n"
+        )
 
     def test_header_format(self, tmp_path):
         path = tmp_path / "m.map"
