@@ -7,7 +7,13 @@ isometry, all pairwise cosines inside the source language are preserved.
 
 An optional self-learning loop alternates fitting with dictionary
 induction over the most frequent words (file order is taken to be
-frequency order), keeping the best-scoring iteration.
+frequency order), keeping the best-scoring iteration. It works on row
+indexes throughout: the seed lexicon is resolved to rows once, and each
+iteration trains on the seed rows followed by every induced (source row,
+nearest target row) pair that does not repeat a seed pair. Pairs compare
+by token, so an induced pair repeats a seed pair only when both seed
+tokens are exact vocabulary tokens; seed pairs that resolve through the
+lowercase fold, and repeated seed pairs, stay as extra rows.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, lookup, mean_center, normalize_unit
-from .lexicon import BilingualLexicon, resolve
+from .embeddings import EmbeddingSpace, mean_center, normalize_unit
+from .lexicon import BilingualLexicon, _require_resolved, resolve_rows
 from .retrieval import _score_reduce, _unit_rows
 from .solvers import LinearMap, PairedData, apply_map, fit_procrustes
 
@@ -73,21 +79,25 @@ def apply_normalization(space: EmbeddingSpace, steps) -> EmbeddingSpace:
 
 def _paired_rows(
     src: EmbeddingSpace, tgt: EmbeddingSpace, lexicon: BilingualLexicon
-) -> PairedData:
-    resolved, _ = resolve(lexicon, src, tgt)
-    a = np.vstack([lookup(src, s) for s, _ in resolved.pairs])
-    b = np.vstack([lookup(tgt, t) for _, t in resolved.pairs])
-    return PairedData(a, b)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Row indexes of the lexicon's resolved pairs; an error when none resolve."""
+    src_idx, tgt_idx, _ = resolve_rows(lexicon, src, tgt)
+    _require_resolved(lexicon, src_idx.size)
+    return src_idx, tgt_idx
+
+
+def _mean_row_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    return float((a * b).sum(axis=1).mean())
 
 
 def mean_pair_cosine(
     src: EmbeddingSpace, tgt: EmbeddingSpace, lexicon: BilingualLexicon
 ) -> float:
     """Mean cosine between the resolved pairs of a lexicon."""
-    data = _paired_rows(src, tgt, lexicon)
-    a = data.inputs / np.linalg.norm(data.inputs, axis=1, keepdims=True)
-    b = data.targets / np.linalg.norm(data.targets, axis=1, keepdims=True)
-    return float((a * b).sum(axis=1).mean())
+    src_idx, tgt_idx = _paired_rows(src, tgt, lexicon)
+    return _mean_row_cosine(src.matrix[src_idx], tgt.matrix[tgt_idx])
 
 
 def align_supervised(
@@ -104,8 +114,18 @@ def align_supervised(
         return iterate_self_learning(src, tgt, lexicon, config)
     src_n = apply_normalization(src, config.normalize)
     tgt_n = apply_normalization(tgt, config.normalize)
-    w = fit_procrustes(_paired_rows(src_n, tgt_n, lexicon))
+    src_idx, tgt_idx = _paired_rows(src_n, tgt_n, lexicon)
+    w = fit_procrustes(PairedData(src_n.matrix[src_idx], tgt_n.matrix[tgt_idx]))
     return AlignedPair(apply_map(w, src_n), tgt_n, w, iterations_run=1)
+
+
+def _nearest(rows: np.ndarray, target_t: np.ndarray) -> np.ndarray:
+    """Column of ``target_t`` scoring highest against each unit row; ties to the lower index."""
+    nearest = np.empty(rows.shape[0], dtype=np.intp)
+    def reduce(start, stop, sims):
+        nearest[start:stop] = np.argmax(sims, axis=1)
+    _score_reduce(rows, target_t, reduce)
+    return nearest
 
 
 def induce_dictionary(aligned: AlignedPair, vocab_cap: int) -> BilingualLexicon:
@@ -120,25 +140,13 @@ def induce_dictionary(aligned: AlignedPair, vocab_cap: int) -> BilingualLexicon:
         raise ValueError(f"vocab_cap must be positive, got {vocab_cap}")
     n_src = min(vocab_cap, len(aligned.source))
     n_tgt = min(vocab_cap, len(aligned.target))
-    s = _unit_rows(aligned.source.matrix[:n_src], "source")
-    t = _unit_rows(aligned.target.matrix[:n_tgt], "target")
-    nearest = np.empty(n_src, dtype=np.intp)
-    def reduce(start, stop, sims):
-        nearest[start:stop] = np.argmax(sims, axis=1)
-    _score_reduce(s, t.T, reduce)
+    nearest = _nearest(
+        _unit_rows(aligned.source.matrix[:n_src], "source"),
+        _unit_rows(aligned.target.matrix[:n_tgt], "target").T,
+    )
     return BilingualLexicon(
         [(aligned.source.vocab[i], aligned.target.vocab[j]) for i, j in enumerate(nearest)]
     )
-
-
-def _merge_lexicons(seed: BilingualLexicon, induced: BilingualLexicon) -> BilingualLexicon:
-    pairs = list(seed.pairs)
-    seen = set(pairs)
-    for pair in induced.pairs:
-        if pair not in seen:
-            seen.add(pair)
-            pairs.append(pair)
-    return BilingualLexicon(pairs)
 
 
 def iterate_self_learning(
@@ -149,36 +157,60 @@ def iterate_self_learning(
 ) -> AlignedPair:
     """Alternate Procrustes fitting with dictionary induction.
 
-    Each iteration fits on the current lexicon, maps the source, induces a
-    fresh dictionary over the capped vocabulary, and scores it by mean
-    induced-pair cosine. The loop stops when the score improves by less
-    than the convergence tolerance or the iteration budget runs out; the
-    best-scoring map wins. The seed dictionary is kept in every fit, so
-    induction augments rather than replaces the supervision.
+    Each iteration fits on the current training rows, maps the source,
+    induces a fresh dictionary over the capped vocabulary, and scores it by
+    mean induced-pair cosine. The loop stops when the score improves by
+    less than the convergence tolerance or the iteration budget runs out;
+    the best-scoring map wins. The seed dictionary is kept in every fit, so
+    induction augments rather than replaces the supervision. Each iteration
+    logs at DEBUG its training-row count, score, induced pairs added and the
+    fraction of induced targets that changed (1 on the first iteration);
+    the kept iteration is logged at INFO.
     """
     config = config or AlignmentConfig()
     if src.dim != tgt.dim:
         raise ValueError(f"dimension mismatch: source {src.dim} vs target {tgt.dim}")
     src_n = apply_normalization(src, config.normalize)
     tgt_n = apply_normalization(tgt, config.normalize)
-    current = seed_lexicon
+    seed_src, seed_tgt = _paired_rows(src_n, tgt_n, seed_lexicon)
+    # An induced pair repeats a seed pair only when both seed tokens are
+    # exact vocabulary tokens: pairs are compared by token, not by row.
+    n_all = len(tgt_n)
+    seed_keys = np.array(
+        [src_n.index_of(s) * n_all + tgt_n.index_of(t)
+         for s, t in seed_lexicon.pairs if s in src_n and t in tgt_n],
+        dtype=np.int64,
+    )
+    n_src = min(config.induction_vocab_cap, len(src_n))
+    n_tgt = min(config.induction_vocab_cap, len(tgt_n))
+    target_t = _unit_rows(tgt_n.matrix[:n_tgt], "target").T
+    induced_src = np.arange(n_src)
+    rows_src, rows_tgt = seed_src, seed_tgt
+    nearest = None
     best_w: LinearMap | None = None
-    best_score = -np.inf
+    best_score, best_iteration = -np.inf, 0
     previous = -np.inf
-    iterations = 0
     for iteration in range(1, config.max_iterations + 1):
-        iterations = iteration
-        w = fit_procrustes(_paired_rows(src_n, tgt_n, current))
-        mapped = apply_map(w, src_n)
-        induced = induce_dictionary(
-            AlignedPair(mapped, tgt_n, w, iteration), config.induction_vocab_cap
+        w = fit_procrustes(PairedData(src_n.matrix[rows_src], tgt_n.matrix[rows_tgt]))
+        mapped = src_n.matrix @ w.matrix
+        last, nearest = nearest, _nearest(_unit_rows(mapped[:n_src], "source"), target_t)
+        score = _mean_row_cosine(mapped[:n_src], tgt_n.matrix[nearest])
+        new = ~np.isin(induced_src * n_all + nearest, seed_keys)
+        changed = 1.0 if last is None else float(np.mean(nearest != last))
+        log.debug(
+            "self-learning iteration %d: %d training rows, mean induced cosine %.6f, "
+            "%d induced pairs added, %.4f of induced targets changed",
+            iteration, rows_src.size, score, np.count_nonzero(new), changed,
         )
-        score = mean_pair_cosine(mapped, tgt_n, induced)
-        log.debug("self-learning iteration %d: mean induced cosine %.6f", iteration, score)
         if score > best_score:
-            best_score, best_w = score, w
+            best_score, best_w, best_iteration = score, w, iteration
         if score - previous < config.convergence_tol:
             break
         previous = score
-        current = _merge_lexicons(seed_lexicon, induced)
-    return AlignedPair(apply_map(best_w, src_n), tgt_n, best_w, iterations_run=iterations)
+        rows_src = np.concatenate([seed_src, induced_src[new]])
+        rows_tgt = np.concatenate([seed_tgt, nearest[new]])
+    log.info(
+        "self-learning kept iteration %d of %d: mean induced cosine %.6f",
+        best_iteration, iteration, best_score,
+    )
+    return AlignedPair(apply_map(best_w, src_n), tgt_n, best_w, iterations_run=iteration)

@@ -57,13 +57,11 @@ class EmbeddingSpace:
             )
         if matrix.size and not np.isfinite(matrix).all():
             raise ValueError("matrix contains non-finite components")
-        index: dict[str, int] = {}
-        for i, token in enumerate(self.vocab):
-            if not token or any(ch.isspace() for ch in token):
-                raise ValueError(f"token {token!r} is empty or contains whitespace")
-            if token in index:
-                raise ValueError(f"duplicate token {token!r}")
-            index[token] = i
+        # str.split() splits on exactly the characters str.isspace() accepts,
+        # so a token is nonempty and whitespace-free iff it splits to itself.
+        index = dict(zip(self.vocab, range(len(self.vocab))))
+        if len(index) != len(self.vocab) or not all(t.split() == [t] for t in self.vocab):
+            _reject_vocab(self.vocab)
         matrix.setflags(write=False)
         self.matrix = matrix
         self._index = index
@@ -84,6 +82,17 @@ class EmbeddingSpace:
         if i is None:
             i = self._index.get(token.lower())
         return i
+
+
+def _reject_vocab(vocab: list[str]) -> None:
+    """Raise for the first empty, whitespace-holding or repeated token."""
+    seen: set[str] = set()
+    for token in vocab:
+        if not token or any(ch.isspace() for ch in token):
+            raise ValueError(f"token {token!r} is empty or contains whitespace")
+        if token in seen:
+            raise ValueError(f"duplicate token {token!r}")
+        seen.add(token)
 
 
 def _looks_like_header(parts: list[str]) -> bool:

@@ -10,10 +10,11 @@ from __future__ import annotations
 import logging
 import random
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, lookup
+from .embeddings import EmbeddingSpace
 
 log = logging.getLogger(__name__)
 
@@ -55,13 +56,22 @@ class HypernymDataset:
         return len(self.entries)
 
 
+def _content(raw: str) -> str | None:
+    """A line's stripped content, or None for a blank line or a ``#`` comment."""
+    line = raw.strip()
+    return None if not line or line.startswith("#") else line
+
+
 def _content_lines(path):
     with open(path, encoding="utf-8") as fh:
         for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield line_no, line
+            line = _content(raw)
+            if line is not None:
+                yield line_no, line
+
+
+def _hypernym_fields(line: str) -> list[str]:
+    return [f.strip() for f in line.split("\t") if f.strip()]
 
 
 def load_lexicon(path) -> BilingualLexicon:
@@ -81,15 +91,60 @@ def load_lexicon(path) -> BilingualLexicon:
 
 
 def save_lexicon(lexicon: BilingualLexicon, path) -> None:
+    """Write one tab-separated pair per line; a pair that would not load back is an error."""
+    lines = [f"{src}\t{tgt}\n" for src, tgt in lexicon.pairs]
+    for pair, line in zip(lexicon.pairs, lines):
+        if (_content(line) or "").split() != list(pair):
+            raise ValueError(f"pair {pair!r} would not load back from a lexicon file")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for src, tgt in lexicon.pairs:
-            fh.write(f"{src}\t{tgt}\n")
+        fh.writelines(lines)
 
 
 def save_hypernyms(dataset: HypernymDataset, path) -> None:
+    """Write a query and its golds per tab-separated line; an entry that would
+    not load back is an error."""
+    lines = [query + "\t" + "\t".join(golds) + "\n" for query, golds in dataset.entries]
+    for (query, golds), line in zip(dataset.entries, lines):
+        fields = _hypernym_fields(_content(line) or "")
+        if not golds or "\r" in line or "\n" in line[:-1] or fields != [query, *golds]:
+            raise ValueError(f"hypernym query {query!r} would not load back from a hypernym file")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for query, golds in dataset.entries:
-            fh.write(query + "\t" + "\t".join(golds) + "\n")
+        fh.writelines(lines)
+
+
+def _rows_of(space: EmbeddingSpace, tokens) -> np.ndarray:
+    """Row of each token as ``index_of`` finds it, -1 where it finds none."""
+    return np.array([-1 if (i := space.index_of(t)) is None else i for t in tokens], dtype=np.intp)
+
+
+def _resolved_mask(
+    lexicon: BilingualLexicon, src_space: EmbeddingSpace, tgt_space: EmbeddingSpace
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair's source and target row plus the mask of pairs where both resolve."""
+    src_idx = _rows_of(src_space, [s for s, _ in lexicon.pairs])
+    tgt_idx = _rows_of(tgt_space, [t for _, t in lexicon.pairs])
+    return src_idx, tgt_idx, (src_idx >= 0) & (tgt_idx >= 0)
+
+
+def resolve_rows(
+    lexicon: BilingualLexicon, src_space: EmbeddingSpace, tgt_space: EmbeddingSpace
+) -> tuple[np.ndarray, np.ndarray, int]:
+    """Row indexes of the pairs whose two tokens both resolve, in lexicon order.
+
+    Each token resolves as in ``EmbeddingSpace.index_of``: an exact match,
+    then one lowercase-fold retry. Returns (source rows, target rows, number
+    of pairs skipped). Nothing resolving is not an error here.
+    """
+    src_idx, tgt_idx, kept = _resolved_mask(lexicon, src_space, tgt_space)
+    return src_idx[kept], tgt_idx[kept], int(kept.size - np.count_nonzero(kept))
+
+
+def _require_resolved(lexicon: BilingualLexicon, kept: int) -> None:
+    """Raise unless ``kept`` of the lexicon's pairs resolved, at least one."""
+    if not lexicon.pairs:
+        raise ValueError("cannot resolve an empty lexicon")
+    if not kept:
+        raise ValueError("no lexicon pair resolves against both vocabularies")
 
 
 def resolve(
@@ -100,16 +155,10 @@ def resolve(
     Coverage is kept/total. Zero kept pairs is an error because nothing
     can be fitted from an empty lexicon.
     """
-    if not lexicon.pairs:
-        raise ValueError("cannot resolve an empty lexicon")
-    kept = [
-        (s, t)
-        for s, t in lexicon.pairs
-        if lookup(src_space, s) is not None and lookup(tgt_space, t) is not None
-    ]
-    if not kept:
-        raise ValueError("no lexicon pair resolves against both vocabularies")
-    return BilingualLexicon(kept), len(kept) / len(lexicon.pairs)
+    _, _, kept = _resolved_mask(lexicon, src_space, tgt_space)
+    _require_resolved(lexicon, int(np.count_nonzero(kept)))
+    pairs = list(compress(lexicon.pairs, kept))
+    return BilingualLexicon(pairs), len(pairs) / len(lexicon.pairs)
 
 
 def load_similarity(path) -> SimilarityDataset:
@@ -138,7 +187,7 @@ def load_hypernyms(path) -> HypernymDataset:
     order: list[str] = []
     golds: dict[str, list[str]] = {}
     for line_no, line in _content_lines(path):
-        fields = [f.strip() for f in line.split("\t") if f.strip()]
+        fields = _hypernym_fields(line)
         if len(fields) < 2:
             raise ValueError(f"{path}:{line_no}: expected 'query<TAB>hypernym...', got 1 field")
         query, hypernyms = fields[0], fields[1:]

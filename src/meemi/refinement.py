@@ -21,7 +21,7 @@ import numpy as np
 
 from .alignment import AlignedPair
 from .embeddings import lookup
-from .lexicon import BilingualLexicon
+from .lexicon import BilingualLexicon, resolve_rows
 from .solvers import LinearMap, PairedData, apply_map, fit_least_squares, load_map, save_map
 
 log = logging.getLogger(__name__)
@@ -59,22 +59,13 @@ def compute_averages(
     Returns (source rows -> mu, target rows -> mu). Pairs with an
     out-of-vocabulary side are skipped and counted.
     """
-    src_rows, tgt_rows = [], []
-    skipped = 0
-    for s, t in lexicon.pairs:
-        v_s = lookup(aligned.source, s)
-        v_t = lookup(aligned.target, t)
-        if v_s is None or v_t is None:
-            skipped += 1
-            continue
-        src_rows.append(v_s)
-        tgt_rows.append(v_t)
-    if not src_rows:
+    src_idx, tgt_idx, skipped = resolve_rows(lexicon, aligned.source, aligned.target)
+    if not src_idx.size:
         raise ValueError("no lexicon pair resolves in the aligned spaces")
     if skipped:
         log.info("skipped %d lexicon pairs with out-of-vocabulary tokens", skipped)
-    a = np.vstack(src_rows)
-    b = np.vstack(tgt_rows)
+    a = aligned.source.matrix[src_idx]
+    b = aligned.target.matrix[tgt_idx]
     mu = (a + b) / 2.0
     return PairedData(a, mu), PairedData(b, mu)
 

@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,8 +17,8 @@ from meemi.alignment import (
 from meemi.embeddings import EmbeddingSpace, lookup
 from meemi.evaluation import eval_bli
 from meemi.fixtures import SyntheticSpec, make_rotated_pair
-from meemi.lexicon import BilingualLexicon
-from meemi.solvers import LinearMap
+from meemi.lexicon import BilingualLexicon, resolve
+from meemi.solvers import LinearMap, PairedData, apply_map, fit_procrustes
 
 
 def subset(lexicon, start, stop):
@@ -169,3 +171,125 @@ class TestSelfLearning:
             final.source, final.target, induce_dictionary(final, cap)
         )
         assert score_final >= score_first - 1e-12
+
+
+def reference_self_learning(src, tgt, seed_lexicon, config):
+    """The token-based loop: every iteration resolves a lexicon, induces
+    token pairs and merges them into the seed by token.
+
+    Also returns how many training rows repeat a seed pair's rows only
+    because that seed pair resolved through the lowercase fold.
+    """
+    def rows(a, b, lexicon):
+        kept, _ = resolve(lexicon, a, b)
+        return (np.vstack([lookup(a, s) for s, _ in kept.pairs]),
+                np.vstack([lookup(b, t) for _, t in kept.pairs]))
+
+    src_n = apply_normalization(src, config.normalize)
+    tgt_n = apply_normalization(tgt, config.normalize)
+    seed_set = set(seed_lexicon.pairs)
+    folded = {(src_n.index_of(s), tgt_n.index_of(t)) for s, t in seed_lexicon.pairs
+              if src_n.index_of(s) is not None and tgt_n.index_of(t) is not None
+              and (s not in src_n or t not in tgt_n)}
+    current = seed_lexicon
+    fold_repeats = 0
+    best_w, best_score, previous, iterations = None, -np.inf, -np.inf, 0
+    for iteration in range(1, config.max_iterations + 1):
+        iterations = iteration
+        w = fit_procrustes(PairedData(*rows(src_n, tgt_n, current)))
+        mapped = apply_map(w, src_n)
+        induced = induce_dictionary(AlignedPair(mapped, tgt_n, w, iteration),
+                                    config.induction_vocab_cap)
+        a, b = rows(mapped, tgt_n, induced)
+        a = a / np.linalg.norm(a, axis=1, keepdims=True)
+        b = b / np.linalg.norm(b, axis=1, keepdims=True)
+        score = float((a * b).sum(axis=1).mean())
+        if score > best_score:
+            best_score, best_w = score, w
+        if score - previous < config.convergence_tol:
+            break
+        previous = score
+        merged = list(seed_lexicon.pairs)
+        for pair in induced.pairs:
+            if pair not in seed_set:
+                merged.append(pair)
+                fold_repeats += (src_n.index_of(pair[0]), tgt_n.index_of(pair[1])) in folded
+        current = BilingualLexicon(merged)
+    return AlignedPair(apply_map(best_w, src_n), tgt_n, best_w, iterations), fold_repeats
+
+
+def awkward_seed(fx):
+    """Seed pairs resolved through the lowercase fold, out-of-vocabulary
+    pairs, repeated sources and a repeated pair, next to exact pairs that
+    induction recovers."""
+    gold = fx.gold.pairs
+    pairs = []
+    for k, (s, t) in enumerate(gold[:60]):
+        if k % 4 == 1:
+            s = s.upper()
+        elif k % 4 == 2:
+            t = t.upper()
+        pairs.append((s, t))
+    pairs += [("nope", gold[0][1]), (gold[1][0], "nada"), ("NOPE", "NADA")]
+    pairs += [(gold[3][0], gold[90][1]), (gold[3][0], gold[91][1]), gold[5], gold[4]]
+    return BilingualLexicon(pairs)
+
+
+class TestSelfLearningOnRows:
+    @pytest.mark.parametrize("max_iterations, cap, tol", [
+        (1, 300, 1e-12), (3, 120, 1e-12), (6, 300, 1e-12), (8, 1000, 1e-6),
+    ])
+    def test_matches_token_loop(self, max_iterations, cap, tol):
+        fx = make_rotated_pair(SyntheticSpec(300, 16, noise_sigma=0.4, seed=8))
+        seed = awkward_seed(fx)
+        config = AlignmentConfig(self_learning=True, max_iterations=max_iterations,
+                                 convergence_tol=tol, induction_vocab_cap=cap)
+        expected, fold_repeats = reference_self_learning(fx.src, fx.tgt, seed, config)
+        got = iterate_self_learning(fx.src, fx.tgt, seed, config)
+        if max_iterations > 1:
+            assert fold_repeats > 0  # the fixture reaches the fold rule
+        assert got.iterations_run == expected.iterations_run
+        assert np.array_equal(got.map.matrix, expected.map.matrix)
+        assert np.array_equal(got.source.matrix, expected.source.matrix)
+        assert np.array_equal(got.target.matrix, expected.target.matrix)
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=8)
+    def test_matches_token_loop_on_random_fixtures(self, seed):
+        fx = make_rotated_pair(SyntheticSpec(120, 6, noise_sigma=0.8, seed=seed))
+        config = AlignmentConfig(self_learning=True, max_iterations=4,
+                                 convergence_tol=1e-12, induction_vocab_cap=90)
+        lexicon = awkward_seed(fx)
+        expected, _ = reference_self_learning(fx.src, fx.tgt, lexicon, config)
+        got = iterate_self_learning(fx.src, fx.tgt, lexicon, config)
+        assert got.iterations_run == expected.iterations_run
+        assert np.array_equal(got.map.matrix, expected.map.matrix)
+        assert np.array_equal(got.source.matrix, expected.source.matrix)
+
+    def test_errors_of_resolve_kept(self):
+        fx = make_rotated_pair(SyntheticSpec(20, 4, seed=2))
+        config = AlignmentConfig(self_learning=True)
+        with pytest.raises(ValueError, match="cannot resolve an empty lexicon"):
+            iterate_self_learning(fx.src, fx.tgt, BilingualLexicon([]), config)
+        with pytest.raises(ValueError, match="no lexicon pair resolves"):
+            iterate_self_learning(fx.src, fx.tgt, BilingualLexicon([("q", "z")]), config)
+
+    def test_trace_in_logs(self, caplog):
+        fx = make_rotated_pair(SyntheticSpec(200, 12, noise_sigma=0.5, seed=7))
+        seed = BilingualLexicon(fx.gold.pairs[:20] + [("NOPE", "nada")])
+        config = AlignmentConfig(self_learning=True, max_iterations=3,
+                                 convergence_tol=1e-12, induction_vocab_cap=150)
+        with caplog.at_level(logging.DEBUG, logger="meemi.alignment"):
+            pair = iterate_self_learning(fx.src, fx.tgt, seed, config)
+        debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
+        info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        assert len(debug) == pair.iterations_run == 3
+        assert debug[0].startswith("self-learning iteration 1: 20 training rows, ")
+        assert debug[0].endswith(" 1.0000 of induced targets changed")
+        added = int(debug[0].split(", ")[2].split()[0])
+        assert 130 <= added <= 150  # the 150 induced pairs less those repeating a seed pair
+        assert debug[1].startswith(f"self-learning iteration 2: {20 + added} training rows, ")
+        scores = [float(m.split("mean induced cosine ")[1].split(",")[0]) for m in debug]
+        kept = int(np.argmax(scores)) + 1
+        assert info == [f"self-learning kept iteration {kept} of 3: "
+                        f"mean induced cosine {max(scores):.6f}"]

@@ -173,6 +173,16 @@ class TestInduce:
         assert code == 0
         assert len(out_file.read_text().splitlines()) == 50
 
+    def test_comment_like_token_is_an_error_not_a_lost_pair(self, tmp_path, capsys):
+        space = EmbeddingSpace(["#tag", "a"], np.array([[1.0, 0.0], [0.0, 1.0]]))
+        save_space(space, tmp_path / "s.vec")
+        out_file = tmp_path / "induced.dict"
+        code = main(["induce", "--src", str(tmp_path / "s.vec"), "--tgt", str(tmp_path / "s.vec"),
+                     "--out", str(out_file)])
+        assert code == 1
+        assert "pair ('#tag', '#tag') would not load back" in capsys.readouterr().err
+        assert not out_file.exists()
+
 
 class TestEval:
     def test_bli_reports_requested_ranks(self, rotated_files, tmp_path, capsys):

@@ -353,3 +353,53 @@ class TestInvariants:
         space = random_space(5)
         with pytest.raises(ValueError):
             space.matrix[0, 0] = 7.0
+
+
+def reference_vocab_error(vocab):
+    """The per-character vocabulary check the fast path must agree with."""
+    seen = set()
+    for token in vocab:
+        if not token or any(ch.isspace() for ch in token):
+            return f"token {token!r} is empty or contains whitespace"
+        if token in seen:
+            return f"duplicate token {token!r}"
+        seen.add(token)
+    return None
+
+
+# whitespace both checks must see, plus two look-alikes that are not whitespace
+EDGE_CHARS = "\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u202f\u3000\u200b\ufeff \t\n"
+VOCAB_TOKENS = st.text(
+    st.one_of(st.sampled_from(EDGE_CHARS), st.characters(blacklist_categories=("Cs",))),
+    max_size=4,
+)
+
+
+class TestVocabularyCheck:
+    @given(vocab=st.lists(VOCAB_TOKENS, max_size=6))
+    @settings(max_examples=300)
+    def test_accepts_and_rejects_like_the_reference(self, vocab):
+        expected = reference_vocab_error(vocab)
+        matrix = np.ones((len(vocab), 1))
+        if expected is None:
+            assert EmbeddingSpace(vocab, matrix).vocab == vocab
+        else:
+            with pytest.raises(ValueError) as err:
+                EmbeddingSpace(vocab, matrix)
+            assert str(err.value) == expected
+
+    @pytest.mark.parametrize("ch", list(EDGE_CHARS))
+    def test_every_edge_character_rejected(self, ch):
+        assert ch.isspace() == (ch not in "\u200b\ufeff")
+        vocab = ["ok", f"a{ch}b"]
+        if ch.isspace():
+            with pytest.raises(ValueError, match="whitespace"):
+                EmbeddingSpace(vocab, np.ones((2, 1)))
+        else:
+            assert len(EmbeddingSpace(vocab, np.ones((2, 1)))) == 2
+
+    def test_first_error_wins(self):
+        with pytest.raises(ValueError, match="duplicate token 'a'"):
+            EmbeddingSpace(["a", "a", "b c"], np.ones((3, 1)))
+        with pytest.raises(ValueError, match="'b c' is empty or contains whitespace"):
+            EmbeddingSpace(["b c", "a", "a"], np.ones((3, 1)))

@@ -6,10 +6,14 @@ from hypothesis import strategies as st
 from meemi.embeddings import EmbeddingSpace
 from meemi.lexicon import (
     BilingualLexicon,
+    HypernymDataset,
     load_hypernyms,
     load_lexicon,
     load_similarity,
     resolve,
+    resolve_rows,
+    save_hypernyms,
+    save_lexicon,
     split_lexicon,
 )
 
@@ -85,6 +89,112 @@ class TestResolve:
                 return 0.0
         assert coverage(big, tokens) >= coverage(small, tokens)
         assert coverage(tokens, big) >= coverage(tokens, small)
+
+
+class TestResolveRows:
+    def test_lexicon_order_and_skipped(self):
+        lex = BilingualLexicon([("b", "x"), ("q", "y"), ("a", "y"), ("a", "z"), ("b", "x")])
+        src_idx, tgt_idx, skipped = resolve_rows(lex, space_of("ab"), space_of("xy"))
+        assert src_idx.tolist() == [1, 0, 1]
+        assert tgt_idx.tolist() == [0, 1, 0]
+        assert skipped == 2
+
+    def test_exact_match_before_fold(self):
+        src = space_of(["Dog", "dog", "cat"])
+        lex = BilingualLexicon([("Dog", "x"), ("dog", "x"), ("CAT", "X"), ("DOG", "x")])
+        src_idx, tgt_idx, skipped = resolve_rows(lex, src, space_of("x"))
+        assert src_idx.tolist() == [0, 1, 2, 1]
+        assert tgt_idx.tolist() == [0, 0, 0, 0]
+        assert skipped == 0
+
+    def test_nothing_resolves_is_not_an_error(self):
+        for lex in (BilingualLexicon([]), BilingualLexicon([("q", "z")])):
+            src_idx, tgt_idx, skipped = resolve_rows(lex, space_of("ab"), space_of("xy"))
+            assert src_idx.size == tgt_idx.size == 0
+            assert skipped == len(lex)
+
+    @given(st.lists(st.tuples(st.sampled_from("abAqQ"), st.sampled_from("xyXz")), max_size=12))
+    def test_agrees_with_resolve(self, pairs):
+        src, tgt = space_of("ab"), space_of("xy")
+        lex = BilingualLexicon(pairs)
+        src_idx, tgt_idx, skipped = resolve_rows(lex, src, tgt)
+        try:
+            kept = resolve(lex, src, tgt)[0].pairs
+        except ValueError:
+            kept = []
+        assert src_idx.tolist() == [src.index_of(s) for s, _ in kept]
+        assert tgt_idx.tolist() == [tgt.index_of(t) for _, t in kept]
+        assert skipped == len(pairs) - len(kept)
+
+
+# tokens as a lexicon file holds them: nonempty, no whitespace
+LEX_TOKENS = st.text(st.characters(blacklist_categories=("Cs", "Zs", "Zl", "Zp", "Cc")),
+                     min_size=1, max_size=5).filter(lambda t: t.split() == [t])
+# hypernym fields may hold inner spaces, but no tab or line break and no padding
+HYPER_FIELDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=6).filter(
+    lambda f: f == f.strip() and not set(f) & set("\t\n\r"))
+ANY_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=4)
+
+
+class TestSaveLexicon:
+    @given(st.lists(st.tuples(LEX_TOKENS, LEX_TOKENS), max_size=8, unique=True))
+    def test_roundtrip(self, tmp_path_factory, pairs):
+        pairs = [(s, t) for s, t in pairs if not s.startswith("#")]
+        path = tmp_path_factory.mktemp("lex") / "pairs.dict"
+        save_lexicon(BilingualLexicon(pairs), path)
+        assert load_lexicon(path).pairs == pairs
+
+    @given(st.lists(st.tuples(ANY_TEXT, ANY_TEXT), max_size=4, unique=True))
+    def test_any_pairs_roundtrip_or_raise(self, tmp_path_factory, pairs):
+        path = tmp_path_factory.mktemp("lex") / "pairs.dict"
+        try:
+            save_lexicon(BilingualLexicon(pairs), path)
+        except ValueError:
+            return
+        assert load_lexicon(path).pairs == pairs
+
+    @pytest.mark.parametrize("pair", [("#tag", "x"), ("", "x"), ("a b", "x"), ("a", "")])
+    def test_pair_that_would_not_load_back_is_refused(self, tmp_path, pair):
+        path = tmp_path / "pairs.dict"
+        with pytest.raises(ValueError, match="would not load back") as err:
+            save_lexicon(BilingualLexicon([pair, ("a", "b")]), path)
+        assert repr(pair) in str(err.value)
+        assert not path.exists()
+
+    def test_hash_inside_or_on_target_is_kept(self, tmp_path):
+        pairs = [("a#", "#b"), ("c", "d")]
+        save_lexicon(BilingualLexicon(pairs), tmp_path / "pairs.dict")
+        assert load_lexicon(tmp_path / "pairs.dict").pairs == pairs
+
+
+class TestSaveHypernyms:
+    @given(st.lists(st.tuples(HYPER_FIELDS, st.lists(HYPER_FIELDS, min_size=1, max_size=3,
+                                                     unique=True)),
+                    min_size=1, max_size=5, unique_by=lambda e: e[0]))
+    def test_roundtrip(self, tmp_path_factory, entries):
+        entries = [(q, golds) for q, golds in entries if not q.startswith("#")]
+        if not entries:
+            return
+        path = tmp_path_factory.mktemp("hyp") / "hyper.tsv"
+        save_hypernyms(HypernymDataset(entries), path)
+        assert load_hypernyms(path).entries == entries
+
+    @given(st.lists(st.tuples(ANY_TEXT, st.lists(ANY_TEXT, max_size=2, unique=True)),
+                    min_size=1, max_size=3, unique_by=lambda e: e[0]))
+    def test_any_entries_roundtrip_or_raise(self, tmp_path_factory, entries):
+        path = tmp_path_factory.mktemp("hyp") / "hyper.tsv"
+        try:
+            save_hypernyms(HypernymDataset(entries), path)
+        except ValueError:
+            return
+        assert load_hypernyms(path).entries == entries
+
+    @pytest.mark.parametrize("entry", [("#tag", ["x"]), ("a", []), ("a\nb", ["x"]),
+                                       (" a", ["x"]), ("a", ["x\ty"]), ("a", ["x\r"])])
+    def test_entry_that_would_not_load_back_is_refused(self, tmp_path, entry):
+        with pytest.raises(ValueError, match="would not load back") as err:
+            save_hypernyms(HypernymDataset([("ok", ["fine"]), entry]), tmp_path / "h.tsv")
+        assert repr(entry[0]) in str(err.value)
 
 
 class TestLoadSimilarity:
