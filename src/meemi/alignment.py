@@ -7,12 +7,12 @@ isometry, all pairwise cosines inside the source language are preserved.
 
 An optional self-learning loop alternates fitting with dictionary
 induction over the most frequent words (file order is taken to be
-frequency order), keeping the best-scoring iteration. It works on row
-indexes throughout: the seed lexicon is resolved to rows once, and each
-iteration trains on the seed rows followed by every induced (source row,
-nearest target row) pair that does not repeat a seed pair. Pairs compare
-by token, so an induced pair repeats a seed pair only when both seed
-tokens are exact vocabulary tokens; seed pairs that resolve through the
+frequency order), keeping the best-scoring iteration. Training sets are
+row indexes: the seed lexicon is resolved to rows once, and each iteration
+trains on the seed rows followed by every induced (source row, nearest
+target row) pair that does not repeat a seed pair. Pairs compare by
+token, so an induced pair repeats a seed pair only when both seed tokens
+are exact vocabulary tokens; seed pairs that resolve through the
 lowercase fold, and repeated seed pairs, stay as extra rows.
 """
 
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSpace, mean_center, normalize_unit
-from .lexicon import BilingualLexicon, _require_resolved, resolve_rows
+from .lexicon import BilingualLexicon, paired_rows, resolve_rows
 from .retrieval import _score_reduce, _unit_rows
 from .solvers import LinearMap, PairedData, apply_map, fit_procrustes
 
@@ -77,27 +77,16 @@ def apply_normalization(space: EmbeddingSpace, steps) -> EmbeddingSpace:
     return space
 
 
-def _paired_rows(
-    src: EmbeddingSpace, tgt: EmbeddingSpace, lexicon: BilingualLexicon
-) -> tuple[np.ndarray, np.ndarray]:
-    """Row indexes of the lexicon's resolved pairs; an error when none resolve."""
-    src_idx, tgt_idx, _ = resolve_rows(lexicon, src, tgt)
-    _require_resolved(lexicon, src_idx.size)
-    return src_idx, tgt_idx
-
-
-def _mean_row_cosine(a: np.ndarray, b: np.ndarray) -> float:
-    a = a / np.linalg.norm(a, axis=1, keepdims=True)
-    b = b / np.linalg.norm(b, axis=1, keepdims=True)
-    return float((a * b).sum(axis=1).mean())
-
-
 def mean_pair_cosine(
     src: EmbeddingSpace, tgt: EmbeddingSpace, lexicon: BilingualLexicon
 ) -> float:
     """Mean cosine between the resolved pairs of a lexicon."""
-    src_idx, tgt_idx = _paired_rows(src, tgt, lexicon)
-    return _mean_row_cosine(src.matrix[src_idx], tgt.matrix[tgt_idx])
+    src_idx, tgt_idx = paired_rows(lexicon, src, tgt)
+    a = src.matrix[src_idx]
+    b = tgt.matrix[tgt_idx]
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    return float((a * b).sum(axis=1).mean())
 
 
 def align_supervised(
@@ -114,18 +103,9 @@ def align_supervised(
         return iterate_self_learning(src, tgt, lexicon, config)
     src_n = apply_normalization(src, config.normalize)
     tgt_n = apply_normalization(tgt, config.normalize)
-    src_idx, tgt_idx = _paired_rows(src_n, tgt_n, lexicon)
+    src_idx, tgt_idx = paired_rows(lexicon, src_n, tgt_n)
     w = fit_procrustes(PairedData(src_n.matrix[src_idx], tgt_n.matrix[tgt_idx]))
     return AlignedPair(apply_map(w, src_n), tgt_n, w, iterations_run=1)
-
-
-def _nearest(rows: np.ndarray, target_t: np.ndarray) -> np.ndarray:
-    """Column of ``target_t`` scoring highest against each unit row; ties to the lower index."""
-    nearest = np.empty(rows.shape[0], dtype=np.intp)
-    def reduce(start, stop, sims):
-        nearest[start:stop] = np.argmax(sims, axis=1)
-    _score_reduce(rows, target_t, reduce)
-    return nearest
 
 
 def induce_dictionary(aligned: AlignedPair, vocab_cap: int) -> BilingualLexicon:
@@ -140,10 +120,12 @@ def induce_dictionary(aligned: AlignedPair, vocab_cap: int) -> BilingualLexicon:
         raise ValueError(f"vocab_cap must be positive, got {vocab_cap}")
     n_src = min(vocab_cap, len(aligned.source))
     n_tgt = min(vocab_cap, len(aligned.target))
-    nearest = _nearest(
-        _unit_rows(aligned.source.matrix[:n_src], "source"),
-        _unit_rows(aligned.target.matrix[:n_tgt], "target").T,
-    )
+    s = _unit_rows(aligned.source.matrix[:n_src], "source")
+    t = _unit_rows(aligned.target.matrix[:n_tgt], "target")
+    nearest = np.empty(n_src, dtype=np.intp)
+    def reduce(start, stop, sims):
+        nearest[start:stop] = np.argmax(sims, axis=1)
+    _score_reduce(s, t.T, reduce)
     return BilingualLexicon(
         [(aligned.source.vocab[i], aligned.target.vocab[j]) for i, j in enumerate(nearest)]
     )
@@ -172,7 +154,7 @@ def iterate_self_learning(
         raise ValueError(f"dimension mismatch: source {src.dim} vs target {tgt.dim}")
     src_n = apply_normalization(src, config.normalize)
     tgt_n = apply_normalization(tgt, config.normalize)
-    seed_src, seed_tgt = _paired_rows(src_n, tgt_n, seed_lexicon)
+    seed_src, seed_tgt = paired_rows(seed_lexicon, src_n, tgt_n)
     # An induced pair repeats a seed pair only when both seed tokens are
     # exact vocabulary tokens: pairs are compared by token, not by row.
     n_all = len(tgt_n)
@@ -181,10 +163,6 @@ def iterate_self_learning(
          for s, t in seed_lexicon.pairs if s in src_n and t in tgt_n],
         dtype=np.int64,
     )
-    n_src = min(config.induction_vocab_cap, len(src_n))
-    n_tgt = min(config.induction_vocab_cap, len(tgt_n))
-    target_t = _unit_rows(tgt_n.matrix[:n_tgt], "target").T
-    induced_src = np.arange(n_src)
     rows_src, rows_tgt = seed_src, seed_tgt
     nearest = None
     best_w: LinearMap | None = None
@@ -192,9 +170,14 @@ def iterate_self_learning(
     previous = -np.inf
     for iteration in range(1, config.max_iterations + 1):
         w = fit_procrustes(PairedData(src_n.matrix[rows_src], tgt_n.matrix[rows_tgt]))
-        mapped = src_n.matrix @ w.matrix
-        last, nearest = nearest, _nearest(_unit_rows(mapped[:n_src], "source"), target_t)
-        score = _mean_row_cosine(mapped[:n_src], tgt_n.matrix[nearest])
+        mapped = apply_map(w, src_n)
+        induced = induce_dictionary(
+            AlignedPair(mapped, tgt_n, w, iteration), config.induction_vocab_cap
+        )
+        score = mean_pair_cosine(mapped, tgt_n, induced)
+        # induced tokens are exact vocabulary tokens, so these are their own rows
+        last = nearest
+        induced_src, nearest, _ = resolve_rows(induced, mapped, tgt_n)
         new = ~np.isin(induced_src * n_all + nearest, seed_keys)
         changed = 1.0 if last is None else float(np.mean(nearest != last))
         log.debug(

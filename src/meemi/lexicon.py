@@ -91,39 +91,62 @@ def load_lexicon(path) -> BilingualLexicon:
 
 
 def save_lexicon(lexicon: BilingualLexicon, path) -> None:
-    """Write one tab-separated pair per line; a pair that would not load back is an error."""
+    """Write one tab-separated pair per line.
+
+    A pair that would not load back as written is an error: one the loader
+    would split differently or read as a comment, or a repeat of an earlier
+    pair, which the loader drops.
+    """
     lines = [f"{src}\t{tgt}\n" for src, tgt in lexicon.pairs]
+    seen: set[tuple[str, str]] = set()
     for pair, line in zip(lexicon.pairs, lines):
-        if (_content(line) or "").split() != list(pair):
+        if pair in seen or (_content(line) or "").split() != list(pair):
             raise ValueError(f"pair {pair!r} would not load back from a lexicon file")
+        seen.add(pair)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
 
 
 def save_hypernyms(dataset: HypernymDataset, path) -> None:
-    """Write a query and its golds per tab-separated line; an entry that would
-    not load back is an error."""
+    """Write a query and its golds per tab-separated line.
+
+    An entry that would not load back as written is an error: one with no
+    golds, a field the loader would split, pad or read as a comment, a
+    repeated gold, or a query repeated from an earlier entry (the loader
+    merges those).
+    """
     lines = [query + "\t" + "\t".join(golds) + "\n" for query, golds in dataset.entries]
+    seen: set[str] = set()
     for (query, golds), line in zip(dataset.entries, lines):
         fields = _hypernym_fields(_content(line) or "")
-        if not golds or "\r" in line or "\n" in line[:-1] or fields != [query, *golds]:
+        if (query in seen or not golds or len(set(golds)) != len(golds)
+                or "\r" in line or "\n" in line[:-1] or fields != [query, *golds]):
             raise ValueError(f"hypernym query {query!r} would not load back from a hypernym file")
+        seen.add(query)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.writelines(lines)
-
-
-def _rows_of(space: EmbeddingSpace, tokens) -> np.ndarray:
-    """Row of each token as ``index_of`` finds it, -1 where it finds none."""
-    return np.array([-1 if (i := space.index_of(t)) is None else i for t in tokens], dtype=np.intp)
 
 
 def _resolved_mask(
     lexicon: BilingualLexicon, src_space: EmbeddingSpace, tgt_space: EmbeddingSpace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair's source and target row plus the mask of pairs where both resolve."""
-    src_idx = _rows_of(src_space, [s for s, _ in lexicon.pairs])
-    tgt_idx = _rows_of(tgt_space, [t for _, t in lexicon.pairs])
+    """Every pair's source and target row as ``index_of`` finds it (-1 where it
+    finds none), plus the mask of pairs where both resolve."""
+    src_idx = np.array(
+        [-1 if (i := src_space.index_of(s)) is None else i for s, _ in lexicon.pairs], dtype=np.intp
+    )
+    tgt_idx = np.array(
+        [-1 if (i := tgt_space.index_of(t)) is None else i for _, t in lexicon.pairs], dtype=np.intp
+    )
     return src_idx, tgt_idx, (src_idx >= 0) & (tgt_idx >= 0)
+
+
+def _require_resolved(lexicon: BilingualLexicon, kept: int) -> None:
+    """Raise unless ``kept`` of the lexicon's pairs resolved, at least one."""
+    if not lexicon.pairs:
+        raise ValueError("cannot resolve an empty lexicon")
+    if not kept:
+        raise ValueError("no lexicon pair resolves against both vocabularies")
 
 
 def resolve_rows(
@@ -139,12 +162,14 @@ def resolve_rows(
     return src_idx[kept], tgt_idx[kept], int(kept.size - np.count_nonzero(kept))
 
 
-def _require_resolved(lexicon: BilingualLexicon, kept: int) -> None:
-    """Raise unless ``kept`` of the lexicon's pairs resolved, at least one."""
-    if not lexicon.pairs:
-        raise ValueError("cannot resolve an empty lexicon")
-    if not kept:
-        raise ValueError("no lexicon pair resolves against both vocabularies")
+def paired_rows(
+    lexicon: BilingualLexicon, src_space: EmbeddingSpace, tgt_space: EmbeddingSpace
+) -> tuple[np.ndarray, np.ndarray]:
+    """The source and target rows of ``resolve_rows``, with ``resolve``'s errors:
+    an empty lexicon, or one where no pair resolves."""
+    src_idx, tgt_idx, _ = resolve_rows(lexicon, src_space, tgt_space)
+    _require_resolved(lexicon, src_idx.size)
+    return src_idx, tgt_idx
 
 
 def resolve(

@@ -1,7 +1,26 @@
+import os
+from pathlib import Path
+
 import hypothesis
 import numpy as np
+import pytest
+
+import meemi
 
 np.seterr(all="raise", under="ignore")
 
 hypothesis.settings.register_profile("default", deadline=None, max_examples=50)
 hypothesis.settings.load_profile("default")
+
+
+@pytest.fixture
+def child_env():
+    """Environment for a child Python that imports the very package this process imported.
+
+    A child may run in another directory, where a relative PYTHONPATH (such
+    as ``src``) does not resolve.
+    """
+    env = os.environ.copy()
+    root = str(Path(meemi.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+    return env

@@ -4,16 +4,13 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. Timed criteria assert their wall-clock budget.
 """
 
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import meemi
 from meemi.alignment import AlignedPair, align_supervised, mean_pair_cosine
 from meemi.embeddings import EmbeddingSpace, load_space, save_space
 from meemi.evaluation import (
@@ -284,13 +281,7 @@ def test_criterion_09_hypernym_recovery():
     )
 
 
-def run_pipeline(workdir):
-    # The children run in `workdir`, where a relative PYTHONPATH (such as
-    # `src`) does not resolve: give them the very package this process imported.
-    env = os.environ.copy()
-    root = str(Path(meemi.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
-
+def run_pipeline(workdir, env):
     def cli(*args):
         result = subprocess.run(
             [sys.executable, "-m", "meemi", *args],
@@ -320,10 +311,10 @@ def run_pipeline(workdir):
     )
 
 
-def test_criterion_10_cli_determinism(tmp_path):
+def test_criterion_10_cli_determinism(tmp_path, child_env):
     for name in ("run1", "run2"):
         (tmp_path / name).mkdir()
-        run_pipeline(tmp_path / name)
+        run_pipeline(tmp_path / name, child_env)
     files = sorted(
         p.relative_to(tmp_path / "run1") for p in (tmp_path / "run1").rglob("*") if p.is_file()
     )

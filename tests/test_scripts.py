@@ -1,21 +1,15 @@
-import os
 import subprocess
 import sys
 from pathlib import Path
 
-import meemi
-
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
-def test_synthetic_benchmark_smoke():
-    env = os.environ.copy()
-    root = str(Path(meemi.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
+def test_synthetic_benchmark_smoke(child_env):
     result = subprocess.run(
         [sys.executable, str(SCRIPTS / "synthetic_benchmark.py"), "--vocab", "200", "--dim", "10",
          "--train-pairs", "40", "--test-pairs", "60"],
-        capture_output=True, text=True, env=env, timeout=120,
+        capture_output=True, text=True, env=child_env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
     lines = result.stdout.splitlines()
