@@ -14,6 +14,14 @@ target row) pair that does not repeat a seed pair. Pairs compare by
 token, so an induced pair repeats a seed pair only when both seed tokens
 are exact vocabulary tokens; seed pairs that resolve through the
 lowercase fold, and repeated seed pairs, stay as extra rows.
+
+Induction takes each source row's cosine argmax in two steps. A float32
+pass screens every chunk of rows; a row keeps its float32 winner only when
+every other target trails it by more than twice a rigorous bound on the
+float32 error (about (D + 2) * 2^-24 for unit rows of dimension D). A
+chunk holding any closer runner-up is re-scored in float64 exactly as
+without the screen. Every induced pair, and so every map, score and file,
+is the float64 result bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace, mean_center, normalize_unit
 from .lexicon import BilingualLexicon, paired_rows, resolve_rows
-from .retrieval import _score_reduce, _unit_rows
+from .retrieval import CHUNK_ROWS, _score_reduce, _unit_rows
 from .solvers import LinearMap, PairedData, apply_map, fit_procrustes
 
 log = logging.getLogger(__name__)
@@ -113,6 +121,12 @@ def induce_dictionary(aligned: AlignedPair, vocab_cap: int) -> BilingualLexicon:
 
     Both sides are truncated to their first ``vocab_cap`` tokens (file
     order = frequency order). Ties go to the lower target index.
+
+    Cosines are screened in float32. A row keeps its float32 argmax only
+    when every other column trails it by more than twice a bound on the
+    float32 error; a chunk holding any closer runner-up is re-scored in
+    float64. Every index is therefore the float64 argmax, bit for bit.
+    The number of re-scored chunks is logged at DEBUG.
     """
     if len(aligned.source) == 0 or len(aligned.target) == 0:
         raise ValueError("cannot induce a dictionary from an empty space")
@@ -122,10 +136,37 @@ def induce_dictionary(aligned: AlignedPair, vocab_cap: int) -> BilingualLexicon:
     n_tgt = min(vocab_cap, len(aligned.target))
     s = _unit_rows(aligned.source.matrix[:n_src], "source")
     t = _unit_rows(aligned.target.matrix[:n_tgt], "target")
+    # Error bound of the screen. For unit rows x, y of dimension d, each term
+    # x_i*y_i of a float32 score meets at most d + 2 roundings of unit
+    # u = 2^-24: two inputs, the product unless fused, and at most d - 1
+    # additions in whatever order the kernel sums. So the score is within
+    # gamma = (d+2)u / (1 - (d+2)u) times sum|x_i*y_i| <= |x||y| <= 1 + 2^-20
+    # of x.y. Underflow adds at most 2^-126 per rounding, flushed to zero or
+    # not, over fewer than 4d roundings. The float64 score is within the same
+    # gamma with d roundings of u = 2^-53. Hence |s32 - s64| <= err, and the
+    # float64 argmax j* has s32[j*] >= s64[j*] - err >= s64[best] - err >=
+    # s32[best] - 2 err: a row with no other column in that window has
+    # j* = best. The window is compared in float64, since top - 2 * err
+    # rounds to float32 when top is a float32 scalar.
+    d = s.shape[1]
+    g32, g64 = (d + 2) * 2.0**-24, d * 2.0**-53
+    err = (1 + 2.0**-20) * (g32 / (1 - g32) + g64 / (1 - g64)) + 4 * d * 2.0**-126
     nearest = np.empty(n_src, dtype=np.intp)
+    rescored = []
     def reduce(start, stop, sims):
-        nearest[start:stop] = np.argmax(sims, axis=1)
-    _score_reduce(s, t.T, reduce)
+        rows = np.arange(stop - start)
+        best = np.argmax(sims, axis=1)
+        top = sims[rows, best].astype(np.float64)
+        sims[rows, best] = -np.inf
+        if (sims.max(axis=1) >= top - 2 * err).any():
+            rescored.append(start)
+            best = np.argmax(s[start:stop] @ t.T, axis=1)
+        nearest[start:stop] = best
+    _score_reduce(s.astype(np.float32), t.astype(np.float32).T, reduce)
+    log.debug(
+        "induce_dictionary: re-scored %d of %d chunks in float64",
+        len(rescored), -(-n_src // CHUNK_ROWS),
+    )
     return BilingualLexicon(
         [(aligned.source.vocab[i], aligned.target.vocab[j]) for i, j in enumerate(nearest)]
     )

@@ -2,14 +2,17 @@
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error. Every
 command accepts ``--config FILE`` holding ``key=value`` lines that act as
-flag defaults; flags given on the command line win. All randomness flows
-from ``--seed``, so identical inputs and seed produce byte-identical
-output files.
+flag defaults; flags given on the command line win. Every command accepts
+``-v/--verbose``, which logs each stage's progress to stderr at DEBUG;
+stdout is the same with or without it. All randomness flows from
+``--seed``, so identical inputs and seed produce byte-identical output
+files.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import os
 import sys
 from pathlib import Path
@@ -253,8 +256,14 @@ def _add_common(parser, *, tgt_required=True, with_out=False):
     parser.add_argument("--seed", type=int, default=42,
                         help="accepted for uniform scripts; only `fixture` draws random numbers")
     parser.add_argument("--config", default=None, help="key=value defaults file")
+    _add_verbose(parser)
     if with_out:
         parser.add_argument("--out", required=True, help="output directory")
+
+
+def _add_verbose(parser):
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log each stage's progress to stderr at DEBUG")
 
 
 def _add_retrieval(parser):
@@ -340,12 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shared-vocab", action="store_true", dest="shared_vocab")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="key=value defaults file")
+    _add_verbose(p)
     p.set_defaults(func=cmd_fixture)
 
     return parser
 
 
-BOOL_KEYS = {"self-learning", "self_learning", "cross", "shared-vocab", "shared_vocab"}
+BOOL_KEYS = {"self-learning", "self_learning", "cross", "shared-vocab", "shared_vocab", "verbose"}
 TRUE_WORDS = {"1", "true", "yes", "on"}
 FALSE_WORDS = {"0", "false", "no", "off"}
 
@@ -404,6 +414,12 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "func", None) is None:
         parser.print_usage(sys.stderr)
         return 2
+    logger = logging.getLogger("meemi")
+    handler, level = logging.StreamHandler(sys.stderr), logger.level
+    if args.verbose:
+        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+        logger.addHandler(handler)
+        logger.setLevel(logging.DEBUG)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -412,6 +428,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
 
 
 def entrypoint() -> None:

@@ -116,6 +116,12 @@ def _parse_row(parts: list[str], dim: int | None, line_no: int, path) -> tuple[s
     return token, comps
 
 
+def _require_line_end(raw: str, path, line_no: int) -> None:
+    """Reject a final line with no newline: the writers end every line, so the file was cut."""
+    if not raw.endswith("\n"):
+        raise ValueError(f"{path}:{line_no}: line has no newline; the file is truncated")
+
+
 def _sidecar_path(path) -> str:
     return os.fspath(path) + ".npz"
 
@@ -188,6 +194,7 @@ def load_space(path, limit: int | None = None) -> EmbeddingSpace:
                 count, dim = int(parts[0]), int(parts[1])
                 continue
             token, comps = _parse_row(parts, dim, line_no, path)
+            _require_line_end(raw, path, line_no)
             if dim is None:
                 dim = len(comps)
             if token in seen:

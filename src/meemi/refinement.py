@@ -20,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .alignment import AlignedPair
-from .embeddings import lookup
+from .embeddings import _require_line_end, lookup
 from .lexicon import BilingualLexicon, resolve_rows
 from .solvers import LinearMap, PairedData, apply_map, fit_least_squares, load_map, save_map
 
@@ -142,13 +142,15 @@ def load_meemi(manifest_path) -> MeemiModel:
     manifest_path = os.fspath(manifest_path)
     base = os.path.dirname(manifest_path)
     with open(manifest_path, encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
+        raw = fh.readlines()
+    lines = [line.strip() for line in raw if line.strip()]
     if len(lines) != 3:
         raise ValueError(f"{manifest_path}: expected 3 manifest lines, found {len(lines)}")
     try:
         count = int(lines[2])
     except ValueError:
         raise ValueError(f"{manifest_path}:3: train pair count must be an integer") from None
+    _require_line_end(raw[-1], manifest_path, len(raw))
     return MeemiModel(
         map_src=load_map(os.path.join(base, lines[0])),
         map_tgt=load_map(os.path.join(base, lines[1])),

@@ -140,9 +140,12 @@ def build_index(
         other = _unit_rows(source_space.matrix, "source")
     density = np.empty(len(space), dtype=np.float64)
     def reduce(start, stop, sims):
+        # sims is this chunk's own block, so it is partitioned in place
         if source_space is None:
             sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        density[start:stop] = _mean_topk(sims, csls_k)
+        if csls_k < sims.shape[1]:
+            sims.partition(sims.shape[1] - csls_k, axis=1)
+        density[start:stop] = sims[:, -csls_k:].mean(axis=1)
     _score_reduce(unit.matrix, other.T, reduce)
     return RetrievalIndex(unit, csls_k, density)
 

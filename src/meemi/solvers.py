@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, format_row
+from .embeddings import EmbeddingSpace, _require_line_end, format_row
 
 ORTHOGONALITY_TOL = 1e-8
 
@@ -141,7 +141,11 @@ def load_map(path) -> LinearMap:
                 continue
             if len(parts) != d_out:
                 raise ValueError(f"{path}:{line_no}: expected {d_out} entries, found {len(parts)}")
-            rows.append([float(p) for p in parts])
+            try:
+                rows.append([float(p) for p in parts])
+            except ValueError:
+                raise ValueError(f"{path}:{line_no}: unparseable matrix entry") from None
+            _require_line_end(raw, path, line_no)
     if len(rows) != d_in:
         raise ValueError(f"{path}: expected {d_in} matrix rows, found {len(rows)}")
     return LinearMap(np.array(rows, dtype=np.float64), orthogonal=bool(flag))

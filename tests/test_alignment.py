@@ -19,6 +19,7 @@ from meemi.evaluation import eval_bli
 from meemi.fixtures import SyntheticSpec, make_rotated_pair
 from meemi.lexicon import BilingualLexicon, resolve
 from meemi.solvers import LinearMap, PairedData, apply_map, fit_procrustes
+from test_retrieval import exact_tie_rows
 
 
 def subset(lexicon, start, stop):
@@ -125,6 +126,96 @@ class TestInduce:
         fx, pair = self.aligned_fixture()
         induced = induce_dictionary(pair, vocab_cap=10_000)
         assert len(induced) == len(fx.src.vocab)
+
+
+def unit(matrix):
+    return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
+
+
+def induced_rows(s, t):
+    """Target row induce_dictionary pairs with each source row, under an identity map."""
+    src = EmbeddingSpace([f"s{i}" for i in range(len(s))], s)
+    tgt = EmbeddingSpace([f"t{j}" for j in range(len(t))], t)
+    pair = AlignedPair(src, tgt, LinearMap(np.eye(s.shape[1]), orthogonal=True), 1)
+    induced = induce_dictionary(pair, vocab_cap=max(len(s), len(t)))
+    return np.array([int(target[1:]) for _, target in induced.pairs])
+
+
+def rescored_chunks(caplog):
+    """(re-scored, total) chunk counts from the last induce_dictionary log line."""
+    line = [r.getMessage() for r in caplog.records if "re-scored" in r.getMessage()][-1]
+    words = line.split()
+    return int(words[2]), int(words[4])
+
+
+class TestInductionScreen:
+    """The float32 screen must return the float64 argmax, ties to the lower index."""
+
+    def test_float32_winner_is_not_taken(self):
+        # two target rows within about 1e-9 cosine of the query, ordered one
+        # way in float32 and the other way in float64
+        rng = np.random.default_rng(0)
+        for _ in range(500):
+            s = rng.standard_normal((1, 300))
+            a = rng.standard_normal(300)
+            t = np.vstack([a, a + 2e-8 * rng.standard_normal(300)])
+            s64 = unit(s) @ unit(t).T
+            s32 = unit(s).astype(np.float32) @ unit(t).astype(np.float32).T
+            winner = np.argmax(s64, axis=1)[0]
+            if s32[0, winner] < s32[0, 1 - winner]:
+                break
+        else:
+            pytest.fail("no pair whose float32 order differs from float64")
+        assert induced_rows(s, t)[0] == winner
+
+    def test_duplicate_target_rows_tie_to_lower_index(self):
+        rng = np.random.default_rng(1)
+        t = rng.standard_normal((8, 300))
+        t[6] = t[2]
+        s = t + 0.01 * rng.standard_normal(t.shape)
+        nearest = induced_rows(s, t)
+        assert nearest[2] == nearest[6] == 2
+        assert np.array_equal(nearest, np.argmax(unit(s) @ unit(t).T, axis=1))
+
+    def test_matches_float64_argmax_over_chunks(self, caplog):
+        # the first chunk's queries sit near distinct targets and are
+        # screened; later ones also reach near-duplicate targets, which
+        # send their chunks to the float64 re-score
+        rng = np.random.default_rng(2)
+        t = rng.standard_normal((600, 300))
+        t[500:] = t[:100] + 1e-9 * rng.standard_normal((100, 300))
+        rows = np.concatenate([rng.integers(100, 500, 256), rng.integers(0, 600, 444)])
+        s = t[rows] + 0.1 * rng.standard_normal((700, 300))
+        with caplog.at_level(logging.DEBUG, logger="meemi.alignment"):
+            nearest = induced_rows(s, t)
+        assert np.array_equal(nearest, np.argmax(unit(s) @ unit(t).T, axis=1))
+        rescored, chunks = rescored_chunks(caplog)
+        assert chunks == 3
+        assert 0 < rescored < chunks
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25)
+    def test_exact_ties_match_float64_argmax(self, seed):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(4, 9))
+        n = int(rng.integers(2, 40))
+        t = exact_tie_rows(rng, n, d, distinct=int(rng.integers(1, n + 1)))
+        s = exact_tie_rows(rng, int(rng.integers(1, 600)), d, distinct=int(rng.integers(1, 20)))
+        assert np.array_equal(induced_rows(s, t), np.argmax(unit(s) @ unit(t).T, axis=1))
+
+    @pytest.mark.parametrize("gap, rescored", [(1.5, 1), (2.5, 0)])
+    def test_window_is_twice_the_error_bound(self, caplog, gap, rescored):
+        # the query e0 scores 0.5 against one target and 0.5 - gap * err
+        # against the other, with err the float32 part of the bound
+        d = 300
+        err = (d + 2) * 2.0**-24
+        t = np.zeros((2, d))
+        for row, (axis, c) in enumerate([(1, 0.5), (2, 0.5 - gap * err)]):
+            t[row, 0], t[row, axis] = c, np.sqrt(1 - c * c)
+        s = np.eye(1, d)
+        with caplog.at_level(logging.DEBUG, logger="meemi.alignment"):
+            assert induced_rows(s, t)[0] == 0
+        assert rescored_chunks(caplog) == (rescored, 1)
 
 
 class TestSelfLearning:
@@ -283,6 +374,10 @@ class TestSelfLearningOnRows:
             pair = iterate_self_learning(fx.src, fx.tgt, seed, config)
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]
         info = [r.getMessage() for r in caplog.records if r.levelno == logging.INFO]
+        induce = [m for m in debug if m.startswith("induce_dictionary: ")]
+        debug = [m for m in debug if m.startswith("self-learning ")]
+        assert len(induce) == 3
+        assert all(m.endswith(" of 1 chunks in float64") for m in induce)
         assert len(debug) == pair.iterations_run == 3
         assert debug[0].startswith("self-learning iteration 1: 20 training rows, ")
         assert debug[0].endswith(" 1.0000 of induced targets changed")

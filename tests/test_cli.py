@@ -1,3 +1,5 @@
+import logging
+
 import numpy as np
 import pytest
 
@@ -74,6 +76,34 @@ class TestAlign:
         assert run_align(rotated_files, tmp_path / "b") == 0
         for name in ("source_mapped.vec", "target_normalized.vec", "alignment.map"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+
+class TestVerbose:
+    def test_verbose_logs_to_stderr_and_leaves_stdout(self, rotated_files, tmp_path, capsys):
+        oov = tmp_path / "oov.dict"
+        oov.write_text(rotated_files["dict"].read_text() + "nope nada\n")
+        handlers = list(logging.getLogger("meemi").handlers)
+        def run(name, verbose):
+            out = tmp_path / name
+            align = ["align", "--src", str(rotated_files["src"]),
+                     "--tgt", str(rotated_files["tgt"]), "--dict", str(oov),
+                     "--self-learning", "--max-iter", "2", "--out", str(out / "a")]
+            refine = ["refine", "--src", str(out / "a" / "source_mapped.vec"),
+                      "--tgt", str(out / "a" / "target_normalized.vec"),
+                      "--dict", str(oov), "--out", str(out / "r")]
+            assert [main(args + verbose) for args in (align, refine)] == [0, 0]
+            return capsys.readouterr()
+        quiet = run("quiet", [])
+        loud = run("loud", ["-v"])
+        assert quiet.err == ""
+        assert loud.out == quiet.out
+        assert "self-learning iteration 2: " in loud.err
+        assert "induce_dictionary: re-scored " in loud.err
+        assert "skipped 1 lexicon pairs with out-of-vocabulary tokens" in loud.err
+        assert logging.getLogger("meemi").handlers == handlers
+        for name in ("a/source_mapped.vec", "a/alignment.map", "r/source_refined.vec"):
+            quiet_bytes = (tmp_path / "quiet" / name).read_bytes()
+            assert quiet_bytes == (tmp_path / "loud" / name).read_bytes()
 
 
 class TestRefine:

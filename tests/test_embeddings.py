@@ -3,7 +3,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -133,6 +133,27 @@ class TestLoad:
         message = rf"s\.vec:5: expected 3 components for 'w3', found {found}"
         with pytest.raises(ValueError, match=message):
             load_space(path)
+
+    @given(space=spaces())
+    @example(space=EmbeddingSpace(["h\u00e9llo", "\u65e5\u672c"],
+                                  np.array([[0.5, -1e-310], [2.0, 1.0]])))
+    @settings(max_examples=20)
+    def test_every_strict_prefix_rejected(self, tmp_path_factory, space):
+        path = tmp_path_factory.mktemp("cut") / "s.vec"
+        save_space(space, path)
+        sidecar(path).unlink()
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError):
+                load_space(path)
+
+    def test_cut_last_row_that_still_parses(self, tmp_path):
+        path = write(tmp_path, "2 2\ncat 1.5 0.25\ndog 0.5 1.25")
+        with pytest.raises(ValueError, match=r"space\.vec:3: line has no newline"):
+            load_space(path)
+        with pytest.raises(ValueError, match=r"space\.vec:3: line has no newline"):
+            load_space(path, limit=2)
 
     def test_header_with_no_rows(self, tmp_path):
         with pytest.raises(ValueError, match=r"space\.vec:1: header declares 3 rows, found 0"):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meemi.alignment import AlignedPair, align_supervised, mean_pair_cosine
 from meemi.embeddings import EmbeddingSpace
@@ -201,3 +203,28 @@ class TestPersistence:
         assert np.array_equal(back.map_tgt.matrix, model.map_tgt.matrix)
         assert back.train_pair_count == model.train_pair_count
         assert len(manifest.read_text().splitlines()) == 3
+
+    @given(seed=st.integers(0, 10_000), d=st.integers(1, 3))
+    @settings(max_examples=10)
+    def test_every_strict_prefix_rejected(self, tmp_path_factory, seed, d):
+        rng = np.random.default_rng(seed)
+        model = MeemiModel(LinearMap(rng.standard_normal((d, d))),
+                           LinearMap(rng.standard_normal((d, d))),
+                           train_pair_count=int(rng.integers(1, 10**6)))
+        manifest = tmp_path_factory.mktemp("cut") / "meemi.model"
+        save_meemi(model, manifest)
+        for path in (manifest, *manifest.parent.glob("*.map")):
+            data = path.read_bytes()
+            for cut in range(len(data)):
+                path.write_bytes(data[:cut])
+                with pytest.raises(ValueError):
+                    load_meemi(manifest)
+            path.write_bytes(data)
+        assert load_meemi(manifest).train_pair_count == model.train_pair_count
+
+    def test_cut_pair_count_names_line(self, tmp_path):
+        manifest = tmp_path / "m.model"
+        save_meemi(MeemiModel(LinearMap(np.eye(2)), LinearMap(np.eye(2)), 1234), manifest)
+        manifest.write_bytes(manifest.read_bytes()[:-2])
+        with pytest.raises(ValueError, match=r"m\.model:3: line has no newline"):
+            load_meemi(manifest)

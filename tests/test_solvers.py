@@ -250,6 +250,32 @@ class TestSerialization:
         with pytest.raises(ValueError, match="header"):
             load_map(path)
 
+    @given(
+        matrix=hnp.arrays(
+            np.float64,
+            hnp.array_shapes(min_dims=2, max_dims=2, max_side=4),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        )
+    )
+    @settings(max_examples=20)
+    def test_every_strict_prefix_rejected(self, tmp_path_factory, matrix):
+        path = tmp_path_factory.mktemp("cut") / "m.map"
+        save_map(LinearMap(matrix), path)
+        data = path.read_bytes()
+        for cut in range(len(data)):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ValueError):
+                load_map(path)
+
+    def test_cut_entry_names_line(self, tmp_path):
+        path = tmp_path / "m.map"
+        path.write_text("2 2 0\n1 2\n3 4e-30")
+        with pytest.raises(ValueError, match=r"m\.map:3: line has no newline"):
+            load_map(path)
+        path.write_text("2 2 0\n1 2\n3 4e")
+        with pytest.raises(ValueError, match=r"m\.map:3: unparseable matrix entry"):
+            load_map(path)
+
     def test_wrong_row_arity(self, tmp_path):
         path = tmp_path / "m.map"
         path.write_text("1 3 0\n1 2\n")
