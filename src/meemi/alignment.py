@@ -85,16 +85,19 @@ def apply_normalization(space: EmbeddingSpace, steps) -> EmbeddingSpace:
     return space
 
 
+def pair_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine between each row of ``a`` and the same row of ``b``."""
+    a = a / np.linalg.norm(a, axis=1, keepdims=True)
+    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    return (a * b).sum(axis=1)
+
+
 def mean_pair_cosine(
     src: EmbeddingSpace, tgt: EmbeddingSpace, lexicon: BilingualLexicon
 ) -> float:
     """Mean cosine between the resolved pairs of a lexicon."""
     src_idx, tgt_idx = paired_rows(lexicon, src, tgt)
-    a = src.matrix[src_idx]
-    b = tgt.matrix[tgt_idx]
-    a = a / np.linalg.norm(a, axis=1, keepdims=True)
-    b = b / np.linalg.norm(b, axis=1, keepdims=True)
-    return float((a * b).sum(axis=1).mean())
+    return float(pair_cosines(src.matrix[src_idx], tgt.matrix[tgt_idx]).mean())
 
 
 def align_supervised(

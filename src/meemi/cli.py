@@ -25,7 +25,7 @@ from .alignment import (
     align_supervised,
     induce_dictionary,
 )
-from .embeddings import load_space, lookup, save_space
+from .embeddings import load_space, save_space
 from .evaluation import (
     eval_bli,
     eval_hypernyms,
@@ -42,7 +42,7 @@ from .lexicon import (
     save_lexicon,
 )
 from .refinement import apply_meemi, fit_meemi, save_meemi, similarity_shift_report
-from .retrieval import batch_cosine_topk, build_index, knn_csls
+from .retrieval import batch_cosine_topk, batch_csls_topk, build_index
 from .solvers import LinearMap, load_map, save_map
 
 
@@ -198,26 +198,19 @@ def cmd_inspect(args) -> int:
         raise UsageError("--k must be at least 1")
     _require_paths(args, "src", "tgt")
     src = load_space(args.src, args.limit)
-    query = lookup(src, args.word)
-    if query is None:
+    row = src.index_of(args.word)
+    if row is None:
         raise ValueError(f"word {args.word!r} is not in the source vocabulary")
-    if args.tgt:
-        candidates = load_space(args.tgt, args.limit)
-        drop_self = False
-        density_space = src if args.retrieval == "csls" else None
-    else:
-        candidates = src
-        drop_self = True
-        density_space = None
-    k = args.k + 1 if drop_self else args.k
+    candidates = load_space(args.tgt, args.limit) if args.tgt else src
+    # within one space the word's own row is dropped, so one more is retrieved
+    own = -1 if args.tgt else row
+    k = args.k if args.tgt else args.k + 1
     if args.retrieval == "csls":
-        index = build_index(candidates, args.csls_k, source_space=density_space)
-        neighbors = knn_csls(index, query, None, k)
+        index = build_index(candidates, args.csls_k, source_space=src if args.tgt else None)
+        idx, scores = batch_csls_topk(index, src.matrix[row], k)
     else:
-        idx, scores = batch_cosine_topk(candidates, query, k)
-        neighbors = [(candidates.vocab[i], float(s)) for i, s in zip(idx[0], scores[0])]
-    if drop_self:
-        neighbors = [(t, s) for t, s in neighbors if t != args.word][: args.k]
+        idx, scores = batch_cosine_topk(candidates, src.matrix[row], k)
+    neighbors = [(candidates.vocab[j], s) for j, s in zip(idx[0], scores[0]) if j != own][: args.k]
     for rank, (token, score) in enumerate(neighbors, start=1):
         print(f"{rank}\t{token}\t{score:.4f}")
     return 0
@@ -386,6 +379,8 @@ def _load_config_args(path) -> list[str]:
 
 def _apply_config(argv: list[str]) -> list[str]:
     """Splice config-file defaults in ahead of explicit flags."""
+    argv = [part for arg in argv
+            for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if "--config" not in argv:
         return argv
     i = argv.index("--config")

@@ -83,6 +83,13 @@ class EmbeddingSpace:
             i = self._index.get(token.lower())
         return i
 
+    def rows_of(self, tokens) -> np.ndarray:
+        """Row index of each token as ``index_of`` finds it, -1 where it finds
+        none; mask with ``>= 0`` before indexing, since row -1 is the last row."""
+        return np.array(
+            [-1 if (i := self.index_of(t)) is None else i for t in tokens], dtype=np.intp
+        )
+
 
 def _reject_vocab(vocab: list[str]) -> None:
     """Raise for the first empty, whitespace-holding or repeated token."""
@@ -253,9 +260,3 @@ def mean_center(space: EmbeddingSpace) -> EmbeddingSpace:
     if len(space) == 0:
         raise ValueError("cannot center an empty space")
     return EmbeddingSpace(space.vocab, space.matrix - space.matrix.mean(axis=0))
-
-
-def lookup(space: EmbeddingSpace, token: str) -> np.ndarray | None:
-    """Vector of a token, trying an exact match then one lowercase fold."""
-    i = space.index_of(token)
-    return None if i is None else space.matrix[i]

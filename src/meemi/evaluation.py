@@ -4,6 +4,8 @@ correlations, and hypernym-discovery MRR / MAP / P@k.
 Every metric is cosine-based, so all reports are invariant under positive
 uniform scaling of the embedding spaces. Per-query work is independent;
 batch retrieval preserves input order, so aggregation is deterministic.
+Tokens become rows once, through ``EmbeddingSpace.rows_of``, and every
+metric is then computed on row indexes.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
-from .alignment import AlignedPair
-from .embeddings import EmbeddingSpace, lookup
+from .alignment import AlignedPair, pair_cosines
+from .embeddings import EmbeddingSpace
 from .lexicon import BilingualLexicon, HypernymDataset, SimilarityDataset
 from .retrieval import batch_cosine_topk, batch_csls_topk, build_index
 from .solvers import LinearMap, PairedData, fit_least_squares
@@ -86,6 +87,13 @@ def _topk_indexes(
     return idx
 
 
+def _gold_keys(candidates: EmbeddingSpace, owner: np.ndarray, golds: list[str]) -> np.ndarray:
+    """``query * len(candidates) + row`` for each distinct (query, gold row)
+    pair that resolves among the candidates; ``owner`` holds each gold's query."""
+    rows = candidates.rows_of(golds)
+    return np.unique(owner[rows >= 0] * len(candidates) + rows[rows >= 0])
+
+
 def eval_bli(
     aligned: AlignedPair,
     test_lexicon: BilingualLexicon,
@@ -104,34 +112,21 @@ def eval_bli(
     _check_retrieval(retrieval)
     if not ks or min(ks) < 1:
         raise ValueError("ks must be positive ranks")
-    gold_tokens: dict[str, list[str]] = {}
-    for s, t in test_lexicon.pairs:
-        gold_tokens.setdefault(s, []).append(t)
-    queries = []
-    gold_sets = []
-    for source, targets in gold_tokens.items():
-        v = lookup(aligned.source, source)
-        gold = {aligned.target.index_of(t) for t in targets}
-        gold.discard(None)
-        if v is None or not gold:
-            continue
-        queries.append(v)
-        gold_sets.append(gold)
-    total = len(gold_tokens)
-    if not queries:
+    query_of = {s: q for q, s in enumerate(dict.fromkeys(s for s, _ in test_lexicon.pairs))}
+    owner = np.array([query_of[s] for s, _ in test_lexicon.pairs], dtype=np.intp)
+    n = len(aligned.target)
+    keys = _gold_keys(aligned.target, owner, [t for _, t in test_lexicon.pairs])
+    src_rows = aligned.source.rows_of(query_of)
+    kept = (src_rows >= 0) & (np.bincount(keys // n, minlength=len(query_of)) > 0)
+    if not kept.any():
         raise ValueError("no evaluable dictionary query resolves in the aligned spaces")
     idx = _topk_indexes(
-        np.vstack(queries), aligned.target, max(ks), retrieval, csls_k,
+        aligned.source.matrix[src_rows[kept]], aligned.target, max(ks), retrieval, csls_k,
         density_space=aligned.source if retrieval == "csls" else None,
     )
-    first_hit = np.full(len(queries), np.inf)
-    for q, gold in enumerate(gold_sets):
-        for rank, j in enumerate(idx[q]):
-            if j in gold:
-                first_hit[q] = rank
-                break
-    metrics = {f"P@{k}": float((first_hit < k).mean()) for k in ks}
-    return EvalReport("bli", dataset, retrieval, metrics, len(queries), total)
+    hit = np.isin(np.flatnonzero(kept)[:, None] * n + idx, keys)
+    metrics = {f"P@{k}": float(hit[:, :k].any(axis=1).mean()) for k in ks}
+    return EvalReport("bli", dataset, retrieval, metrics, len(idx), len(query_of))
 
 
 def eval_similarity(
@@ -143,37 +138,44 @@ def eval_similarity(
     """Pearson and Spearman correlation of cosine scores against gold.
 
     Pass the same space twice for monolingual benchmarks. Spearman uses
-    average ranks for ties. Triples with an unresolvable token are skipped
-    and counted.
+    average ranks for ties. Triples with an unresolvable token or a zero
+    vector are skipped and counted.
     """
-    preds, golds = [], []
-    for w1, w2, gold in dataset.triples:
-        v1 = lookup(space_a, w1)
-        v2 = lookup(space_b, w2)
-        if v1 is None or v2 is None:
-            continue
-        n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
-        if n1 == 0.0 or n2 == 0.0:
-            continue
-        preds.append(float(v1 @ v2 / (n1 * n2)))
-        golds.append(gold)
+    from scipy import stats  # scipy is slow to import and only needed here
+
+    rows_a = space_a.rows_of([w1 for w1, _, _ in dataset.triples])
+    rows_b = space_b.rows_of([w2 for _, w2, _ in dataset.triples])
+    kept = (rows_a >= 0) & (rows_b >= 0)
+    a, b = space_a.matrix[rows_a[kept]], space_b.matrix[rows_b[kept]]
+    nonzero = (np.linalg.norm(a, axis=1) != 0.0) & (np.linalg.norm(b, axis=1) != 0.0)
+    preds = pair_cosines(a[nonzero], b[nonzero])
+    golds = np.array([gold for _, _, gold in dataset.triples], dtype=np.float64)[kept][nonzero]
     if len(preds) < 2:
         raise ValueError("need at least 2 resolvable triples for correlation")
-    preds_arr, golds_arr = np.array(preds), np.array(golds)
-    for name, series in (("predicted", preds_arr), ("gold", golds_arr)):
+    for name, series in (("predicted", preds), ("gold", golds)):
         if np.ptp(series) == 0.0:
             raise ValueError(f"{name} scores have zero variance; correlation is undefined")
-    r = float(stats.pearsonr(golds_arr, preds_arr).statistic)
-    rho = float(stats.spearmanr(golds_arr, preds_arr).statistic)
+    r = float(stats.pearsonr(golds, preds).statistic)
+    rho = float(stats.spearmanr(golds, preds).statistic)
     metrics = {"pearson_r": r, "spearman_rho": rho}
     return EvalReport("similarity", dataset_name, "cosine", metrics, len(preds), len(dataset.triples))
 
 
-def _joint_lookup(space: EmbeddingSpace | AlignedPair, token: str) -> np.ndarray | None:
-    if isinstance(space, AlignedPair):
-        v = lookup(space.source, token)
-        return v if v is not None else lookup(space.target, token)
-    return lookup(space, token)
+def _vectors(
+    space: EmbeddingSpace | AlignedPair, tokens: list[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each token's vector (zeros where it does not resolve) and the mask of
+    tokens that resolve. With an aligned pair a token resolves in the source
+    space first, then in the target space."""
+    spaces = (space.source, space.target) if isinstance(space, AlignedPair) else (space,)
+    vectors = np.zeros((len(tokens), spaces[0].dim))
+    found = np.zeros(len(tokens), dtype=bool)
+    for s in spaces:
+        rows = s.rows_of(tokens)
+        new = ~found & (rows >= 0)
+        vectors[new] = s.matrix[rows[new]]
+        found |= new
+    return vectors, found
 
 
 def fit_hypernym_projection(
@@ -186,20 +188,13 @@ def fit_hypernym_projection(
     source space first and then in the target space, so training pairs
     from either language can be mixed in one file.
     """
-    inputs, targets = [], []
-    for query, golds in train.entries:
-        qv = _joint_lookup(space, query)
-        if qv is None:
-            continue
-        for gold in golds:
-            gv = _joint_lookup(space, gold)
-            if gv is None:
-                continue
-            inputs.append(qv)
-            targets.append(gv)
-    if not inputs:
+    queries, q_found = _vectors(space, [query for query, _ in train.entries])
+    owner = np.repeat(np.arange(len(train.entries)), [len(g) for _, g in train.entries])
+    golds, g_found = _vectors(space, [g for _, golds in train.entries for g in golds])
+    kept = q_found[owner] & g_found
+    if not kept.any():
         raise ValueError("no training pair resolves in the embedding space")
-    return fit_least_squares(PairedData(np.vstack(inputs), np.vstack(targets)))
+    return fit_least_squares(PairedData(queries[owner[kept]], golds[kept]))
 
 
 def eval_hypernyms(
@@ -215,7 +210,7 @@ def eval_hypernyms(
     """MRR, MAP and P@5 over projected hypernym candidates.
 
     Candidates default to the target space of an aligned pair (or the
-    single space itself) and never include the query token. Per query,
+    single space itself) and never include the query's own row. Per query,
     the reciprocal rank is 1/rank of the first gold in the top-k list (0
     when absent), average precision is the mean precision over gold hits
     normalized by min(|gold|, k), and P@5 counts gold hits in the top 5
@@ -226,33 +221,29 @@ def eval_hypernyms(
         raise ValueError(f"k must be positive, got {k}")
     if candidates is None:
         candidates = space.target if isinstance(space, AlignedPair) else space
-    queries, gold_sets, tokens = [], [], []
-    for query, golds in test.entries:
-        qv = _joint_lookup(space, query)
-        gold = {candidates.index_of(g) for g in golds}
-        gold.discard(None)
-        if qv is None or not gold:
-            continue
-        queries.append(qv)
-        gold_sets.append(gold)
-        tokens.append(query)
-    if not queries:
+    tokens = [query for query, _ in test.entries]
+    queries, found = _vectors(space, tokens)
+    owner = np.repeat(np.arange(len(tokens)), [len(g) for _, g in test.entries])
+    keys = _gold_keys(candidates, owner, [g for _, golds in test.entries for g in golds])
+    n_gold = np.bincount(keys // len(candidates), minlength=len(tokens))
+    kept = found & (n_gold > 0)
+    if not kept.any():
         raise ValueError("no test query resolves in the embedding space")
-    projected = np.vstack(queries) @ projection.matrix
-    # one extra rank so dropping the query token itself still leaves k
+    projected = queries[kept] @ projection.matrix
+    # one extra rank so dropping the query's own row still leaves k
     idx = _topk_indexes(projected, candidates, min(k + 1, len(candidates)), retrieval, csls_k)
+    hit = np.isin(np.flatnonzero(kept)[:, None] * len(candidates) + idx, keys)
+    own = candidates.rows_of(tokens)[kept]
     rr, ap, p5 = [], [], []
-    for q, gold in enumerate(gold_sets):
-        ranked = [j for j in idx[q] if candidates.vocab[j] != tokens[q]][:k]
-        hits = [rank for rank, j in enumerate(ranked, start=1) if j in gold]
-        rr.append(1.0 / hits[0] if hits else 0.0)
-        precisions = [n / rank for n, rank in enumerate(hits, start=1)]
-        ap.append((float(np.mean(precisions)) if hits else 0.0) / min(len(gold), k))
-        top5_hits = sum(1 for rank in hits if rank <= 5)
-        p5.append(top5_hits / min(len(gold), 5))
+    for q, n in enumerate(n_gold[kept]):
+        hits = np.flatnonzero(hit[q][idx[q] != own[q]][:k]) + 1
+        rr.append(1.0 / hits[0] if hits.size else 0.0)
+        precisions = np.arange(1, hits.size + 1) / hits
+        ap.append((float(np.mean(precisions)) if hits.size else 0.0) / min(n, k))
+        p5.append(np.count_nonzero(hits <= 5) / min(n, 5))
     metrics = {
         "MRR": float(np.mean(rr)),
         "MAP": float(np.mean(ap)),
         "P@5": float(np.mean(p5)),
     }
-    return EvalReport("hypernym", dataset_name, retrieval, metrics, len(queries), len(test.entries))
+    return EvalReport("hypernym", dataset_name, retrieval, metrics, len(idx), len(test.entries))

@@ -132,12 +132,8 @@ def _resolved_mask(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every pair's source and target row as ``index_of`` finds it (-1 where it
     finds none), plus the mask of pairs where both resolve."""
-    src_idx = np.array(
-        [-1 if (i := src_space.index_of(s)) is None else i for s, _ in lexicon.pairs], dtype=np.intp
-    )
-    tgt_idx = np.array(
-        [-1 if (i := tgt_space.index_of(t)) is None else i for _, t in lexicon.pairs], dtype=np.intp
-    )
+    src_idx = src_space.rows_of([s for s, _ in lexicon.pairs])
+    tgt_idx = tgt_space.rows_of([t for _, t in lexicon.pairs])
     return src_idx, tgt_idx, (src_idx >= 0) & (tgt_idx >= 0)
 
 

@@ -7,7 +7,8 @@ to the whole vocabularies, the two maps pull each word and its
 translation toward their average. Unlike the orthogonal alignment this
 is not an isometry: monolingual structure is deliberately allowed to
 change. Vectors are not re-normalized afterwards; downstream scoring is
-cosine-based and absorbs scale.
+cosine-based and absorbs scale. The midpoints and the shift report take
+their rows from the lexicon's row resolution (``EmbeddingSpace.rows_of``).
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alignment import AlignedPair
-from .embeddings import _require_line_end, lookup
-from .lexicon import BilingualLexicon, resolve_rows
+from .alignment import AlignedPair, pair_cosines
+from .embeddings import _require_line_end
+from .lexicon import BilingualLexicon, _resolved_mask, resolve_rows
 from .solvers import LinearMap, PairedData, apply_map, fit_least_squares, load_map, save_map
 
 log = logging.getLogger(__name__)
@@ -98,30 +99,18 @@ def similarity_shift_report(
     Reports the mean and standard deviation of cos(after) - cos(before)
     over resolved pairs, and the fraction of pairs that moved closer.
     """
-    deltas = []
-    for s, t in lexicon.pairs:
-        vecs = (
-            lookup(before.source, s),
-            lookup(before.target, t),
-            lookup(after.source, s),
-            lookup(after.target, t),
-        )
-        if any(v is None for v in vecs):
-            continue
-        b_s, b_t, a_s, a_t = vecs
-        deltas.append(_cosine(a_s, a_t) - _cosine(b_s, b_t))
-    if not deltas:
+    src_b, tgt_b, kept_b = _resolved_mask(lexicon, before.source, before.target)
+    src_a, tgt_a, kept_a = _resolved_mask(lexicon, after.source, after.target)
+    kept = kept_b & kept_a
+    if not kept.any():
         raise ValueError("no lexicon pair resolves in both aligned states")
-    deltas = np.array(deltas)
+    deltas = (pair_cosines(after.source.matrix[src_a[kept]], after.target.matrix[tgt_a[kept]])
+              - pair_cosines(before.source.matrix[src_b[kept]], before.target.matrix[tgt_b[kept]]))
     return SimilarityShift(
         mean_delta=float(deltas.mean()),
         std_delta=float(deltas.std()),
         fraction_positive=float((deltas > 0).mean()),
     )
-
-
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
 
 
 def save_meemi(model: MeemiModel, manifest_path) -> None:

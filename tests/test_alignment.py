@@ -14,7 +14,7 @@ from meemi.alignment import (
     iterate_self_learning,
     mean_pair_cosine,
 )
-from meemi.embeddings import EmbeddingSpace, lookup
+from meemi.embeddings import EmbeddingSpace
 from meemi.evaluation import eval_bli
 from meemi.fixtures import SyntheticSpec, make_rotated_pair
 from meemi.lexicon import BilingualLexicon, resolve
@@ -55,8 +55,8 @@ class TestAlignSupervised:
         fx = make_rotated_pair(SyntheticSpec(150, 12, noise_sigma=0.0, seed=10))
         pair = align_supervised(fx.src, fx.tgt, subset(fx.gold, 0, 100))
         for source, target in fx.gold.pairs:
-            mapped = lookup(pair.source, source)
-            expected = lookup(pair.target, target)
+            mapped = pair.source.matrix[pair.source.index_of(source)]
+            expected = pair.target.matrix[pair.target.index_of(target)]
             assert np.abs(mapped - expected).max() <= 1e-6
 
     def test_single_pair_improves_cosine(self):
@@ -273,8 +273,8 @@ def reference_self_learning(src, tgt, seed_lexicon, config):
     """
     def rows(a, b, lexicon):
         kept, _ = resolve(lexicon, a, b)
-        return (np.vstack([lookup(a, s) for s, _ in kept.pairs]),
-                np.vstack([lookup(b, t) for _, t in kept.pairs]))
+        return (np.vstack([a.matrix[a.index_of(s)] for s, _ in kept.pairs]),
+                np.vstack([b.matrix[b.index_of(t)] for _, t in kept.pairs]))
 
     src_n = apply_normalization(src, config.normalize)
     tgt_n = apply_normalization(tgt, config.normalize)

@@ -1,4 +1,6 @@
 import logging
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -330,6 +332,18 @@ class TestInspect:
         out = capsys.readouterr().out
         assert "src00003" not in out
 
+    @pytest.mark.parametrize("retrieval", ["cosine", "csls"])
+    def test_fold_resolved_word_drops_its_own_row(self, tmp_path, capsys, retrieval):
+        path = tmp_path / "s.vec"
+        save_space(EmbeddingSpace(["cat", "animal", "dog", "fish"],
+                                  np.array([[1.0, 0, 0], [0.9, 0.1, 0], [0, 1.0, 0], [0, 0, 1.0]])),
+                   path)
+        code = main(["inspect", "Cat", "--src", str(path), "--k", "2",
+                     "--retrieval", retrieval, "--csls-k", "2"])
+        assert code == 0
+        tokens = [line.split("\t")[1] for line in capsys.readouterr().out.splitlines()]
+        assert len(tokens) == 2 and "cat" not in tokens
+
 
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, rotated_files, tmp_path, capsys):
@@ -345,6 +359,17 @@ class TestConfigFile:
         )
         assert code == 0
         assert (tmp_path / "out" / "alignment.map").exists()
+
+    def test_equals_form_matches_separate_form(self, rotated_files, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("k=1\n")
+        outs = []
+        for form in (["--config", str(config)], [f"--config={config}"]):
+            code = main(["inspect", "src00003", "--src", str(rotated_files["src"]), *form])
+            assert code == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert len(outs[0].splitlines()) == 1
 
     def test_bad_config_line_is_usage_error(self, tmp_path):
         config = tmp_path / "run.cfg"
@@ -396,3 +421,12 @@ class TestMissingPaths:
             argv += ["--src", fill["src"], "--tgt", fill["tgt"]]
         assert main(argv) == 2
         assert f"{flag} path does not exist" in capsys.readouterr().err
+
+
+def test_importing_the_cli_leaves_scipy_unloaded(child_env):
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, meemi.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, env=child_env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

@@ -10,7 +10,6 @@ from hypothesis.extra import numpy as hnp
 from meemi.embeddings import (
     EmbeddingSpace,
     load_space,
-    lookup,
     mean_center,
     normalize_unit,
     save_space,
@@ -335,26 +334,35 @@ class TestCenter:
 class TestLookup:
     def test_exact(self):
         space = EmbeddingSpace(["cat", "dog"], np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.array_equal(lookup(space, "cat"), [1, 0])
+        assert space.index_of("cat") == 0
+        assert space.rows_of(["dog", "cat"]).tolist() == [1, 0]
 
     def test_lowercase_fold(self):
         space = EmbeddingSpace(["cat"], np.array([[1.0, 2.0]]))
-        assert np.array_equal(lookup(space, "Cat"), [1, 2])
+        assert space.index_of("Cat") == 0
+        assert space.rows_of(["Cat", "CAT"]).tolist() == [0, 0]
 
     def test_missing(self):
         space = EmbeddingSpace(["cat"], np.array([[1.0, 2.0]]))
-        assert lookup(space, "zebra") is None
+        assert space.index_of("zebra") is None
+        assert space.rows_of(["zebra", "cat"]).tolist() == [-1, 0]
+        rows = space.rows_of([])
+        assert rows.dtype == np.intp and rows.shape == (0,)
+        assert EmbeddingSpace([], np.empty((0, 2))).rows_of(["cat"]).tolist() == [-1]
 
     def test_exact_wins_over_fold(self):
         space = EmbeddingSpace(["Cat", "cat"], np.array([[1.0, 0.0], [0.0, 1.0]]))
-        assert np.array_equal(lookup(space, "Cat"), [1, 0])
+        assert space.index_of("Cat") == 0
+        assert space.rows_of(["Cat", "cat", "CAT"]).tolist() == [0, 1, 1]
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25)
     def test_index_bijection(self, seed):
         space = random_space(seed)
+        rows = space.rows_of(space.vocab)
+        assert rows.tolist() == list(range(len(space)))
         for i, token in enumerate(space.vocab):
-            assert np.array_equal(lookup(space, token), space.matrix[i])
+            assert space.index_of(token) == i
 
 
 class TestInvariants:

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 
 from meemi.alignment import AlignedPair, align_supervised
 from meemi.embeddings import EmbeddingSpace
 from meemi.evaluation import (
+    RETRIEVAL_MODES,
     EvalReport,
     eval_bli,
     eval_hypernyms,
@@ -14,7 +16,8 @@ from meemi.evaluation import (
 )
 from meemi.fixtures import SyntheticSpec, make_rotated_pair, make_taxonomy
 from meemi.lexicon import BilingualLexicon, HypernymDataset, SimilarityDataset
-from meemi.solvers import LinearMap
+from meemi.retrieval import batch_cosine_topk, batch_csls_topk, build_index
+from meemi.solvers import LinearMap, PairedData, fit_least_squares
 
 
 def pearson_oracle(x, y):
@@ -325,6 +328,16 @@ class TestEvalHypernyms:
         report = eval_hypernyms(pair, LinearMap(np.eye(4)), test, k=2)
         assert report.metrics["MRR"] == 1.0
 
+    def test_fold_resolved_query_drops_its_own_row(self):
+        space = EmbeddingSpace(
+            ["cat", "animal", "dog", "fish"],
+            np.array([[1.0, 0, 0], [0.9, 0.1, 0], [0, 1.0, 0], [0, 0, 1.0]]),
+        )
+        for query in ("cat", "Cat"):
+            test = HypernymDataset([(query, ["animal"])])
+            report = eval_hypernyms(space, LinearMap(np.eye(3)), test, k=1)
+            assert report.metrics["MRR"] == 1.0, query
+
     def test_zero_resolvable_queries(self):
         space = self.ranked_space()
         with pytest.raises(ValueError, match="no test query"):
@@ -363,3 +376,186 @@ class TestEvalReport:
     def test_non_finite_metric_rejected(self):
         with pytest.raises(ValueError, match="finite"):
             EvalReport("bli", "x", "cosine", {"P@1": float("nan")}, 1, 1)
+
+
+def vector(space, token):
+    i = space.index_of(token)
+    return None if i is None else space.matrix[i]
+
+
+def joint_vector(space, token):
+    if isinstance(space, AlignedPair):
+        v = vector(space.source, token)
+        return v if v is not None else vector(space.target, token)
+    return vector(space, token)
+
+
+def topk(queries, candidates, k, retrieval, csls_k, density_space=None):
+    if retrieval == "cosine":
+        return batch_cosine_topk(candidates, queries, k)[0]
+    index = build_index(candidates, csls_k, source_space=density_space)
+    return batch_csls_topk(index, queries, k)[0]
+
+
+def reference_bli(aligned, lexicon, retrieval, ks, csls_k):
+    """eval_bli as a loop over tokens."""
+    gold_tokens = {}
+    for s, t in lexicon.pairs:
+        gold_tokens.setdefault(s, []).append(t)
+    queries, gold_sets = [], []
+    for source, targets in gold_tokens.items():
+        v = vector(aligned.source, source)
+        gold = {aligned.target.index_of(t) for t in targets} - {None}
+        if v is None or not gold:
+            continue
+        queries.append(v)
+        gold_sets.append(gold)
+    idx = topk(np.vstack(queries), aligned.target, max(ks), retrieval, csls_k,
+               aligned.source if retrieval == "csls" else None)
+    first_hit = np.full(len(queries), np.inf)
+    for q, gold in enumerate(gold_sets):
+        for rank, j in enumerate(idx[q]):
+            if j in gold:
+                first_hit[q] = rank
+                break
+    metrics = {f"P@{k}": float((first_hit < k).mean()) for k in ks}
+    return EvalReport("bli", "", retrieval, metrics, len(queries), len(gold_tokens))
+
+
+def reference_similarity(space_a, space_b, dataset):
+    """(pearson, spearman, resolved) of eval_similarity as a loop over triples."""
+    preds, golds = [], []
+    for w1, w2, gold in dataset.triples:
+        v1, v2 = vector(space_a, w1), vector(space_b, w2)
+        if v1 is None or v2 is None:
+            continue
+        n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
+        if n1 == 0.0 or n2 == 0.0:
+            continue
+        preds.append(float(v1 @ v2 / (n1 * n2)))
+        golds.append(gold)
+    return (stats.pearsonr(golds, preds).statistic, stats.spearmanr(golds, preds).statistic,
+            len(preds))
+
+
+def reference_projection(space, train):
+    """fit_hypernym_projection as a loop over (query, gold) tokens."""
+    inputs, targets = [], []
+    for query, golds in train.entries:
+        qv = joint_vector(space, query)
+        if qv is None:
+            continue
+        for gold in golds:
+            gv = joint_vector(space, gold)
+            if gv is not None:
+                inputs.append(qv)
+                targets.append(gv)
+    return fit_least_squares(PairedData(np.vstack(inputs), np.vstack(targets)))
+
+
+def reference_hypernyms(space, projection, test, k, retrieval, csls_k):
+    """eval_hypernyms as a loop over tokens; like eval_hypernyms it drops
+    the query's own row (``index_of``), which a fold-resolved query reaches too."""
+    candidates = space.target if isinstance(space, AlignedPair) else space
+    queries, gold_sets, own = [], [], []
+    for query, golds in test.entries:
+        qv = joint_vector(space, query)
+        gold = {candidates.index_of(g) for g in golds} - {None}
+        if qv is None or not gold:
+            continue
+        queries.append(qv)
+        gold_sets.append(gold)
+        own.append(candidates.index_of(query))
+    idx = topk(np.vstack(queries) @ projection.matrix, candidates,
+               min(k + 1, len(candidates)), retrieval, csls_k)
+    rr, ap, p5 = [], [], []
+    for q, gold in enumerate(gold_sets):
+        ranked = [j for j in idx[q] if j != own[q]][:k]
+        hits = [rank for rank, j in enumerate(ranked, start=1) if j in gold]
+        rr.append(1.0 / hits[0] if hits else 0.0)
+        precisions = [n / rank for n, rank in enumerate(hits, start=1)]
+        ap.append((float(np.mean(precisions)) if hits else 0.0) / min(len(gold), k))
+        p5.append(sum(1 for rank in hits if rank <= 5) / min(len(gold), 5))
+    metrics = {"MRR": float(np.mean(rr)), "MAP": float(np.mean(ap)), "P@5": float(np.mean(p5))}
+    return EvalReport("hypernym", "", retrieval, metrics, len(queries), len(test.entries))
+
+
+def awkward_pair(seed, d=4):
+    """Random spaces whose tokens the lexicons below reach exactly, through
+    the lowercase fold, or not at all. ``Cat`` and ``cat`` are both source
+    tokens; ``only_t`` and the ``t*`` tokens are target tokens only, and
+    ``both`` is a token of each space."""
+    rng = np.random.default_rng(seed)
+    src = EmbeddingSpace([f"s{i}" for i in range(24)] + ["dog", "Cat", "cat", "both"],
+                         rng.standard_normal((28, d)))
+    tgt = EmbeddingSpace([f"t{i}" for i in range(30)] + ["hund", "only_t", "both"],
+                         rng.standard_normal((33, d)))
+    return identity_pair(src, tgt)
+
+
+def with_zero_row(space):
+    return EmbeddingSpace(space.vocab + ["zero"], np.vstack([space.matrix, np.zeros(space.dim)]))
+
+
+AWKWARD_LEXICON = BilingualLexicon(
+    [(f"s{i}", f"t{i}") for i in range(8, 24)]
+    + [("s0", "t0"), ("S1", "t1"), ("s2", "T2"), ("s2", "t2"), ("s3", "t3"), ("s3", "t4"),
+       ("Dog", "hund"), ("dog", "hund"), ("dog", "t9"), ("ghost", "t5"), ("s4", "nowhere"),
+       ("s5", "nowhere"), ("s5", "t5"), ("Cat", "t6"), ("cat", "t7"), ("CAT", "t8"),
+       ("S6", "T6"), ("s7", "only_t")]
+)
+
+
+class TestRowPathMatchesTokenLoop:
+    """Each evaluation equals its token-by-token loop on fold-resolved,
+    out-of-vocabulary and repeated tokens."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("retrieval", RETRIEVAL_MODES)
+    def test_bli(self, seed, retrieval):
+        pair = awkward_pair(seed)
+        report = eval_bli(pair, AWKWARD_LEXICON, retrieval, ks=(1, 2, 5), csls_k=3)
+        assert report == reference_bli(pair, AWKWARD_LEXICON, retrieval, (1, 2, 5), 3)
+        # Dog and dog fold to one row and stay two queries; ghost and s4 drop out
+        assert (report.resolved, report.total) == (28, 30)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_similarity(self, seed):
+        pair = awkward_pair(seed)
+        rng = np.random.default_rng(seed)
+        triples = [(s, t, float(rng.uniform(0, 10))) for s, t in AWKWARD_LEXICON.pairs]
+        triples += [("zero", "t1", 3.0), ("s1", "ZERO", 4.0), ("Zero", "zero", 5.0)]
+        dataset = SimilarityDataset(triples)
+        space_a, space_b = with_zero_row(pair.source), with_zero_row(pair.target)
+        report = eval_similarity(space_a, space_b, dataset)
+        r, rho, resolved = reference_similarity(space_a, space_b, dataset)
+        assert (report.resolved, report.total) == (resolved, len(triples))
+        # ghost, the two pairs with nowhere, and the three triples with a zero row
+        assert resolved == len(triples) - 6
+        assert abs(report.metrics["pearson_r"] - r) <= 1e-12
+        assert abs(report.metrics["spearman_rho"] - rho) <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("retrieval", RETRIEVAL_MODES)
+    @pytest.mark.parametrize("aligned", [False, True])
+    def test_hypernyms(self, seed, retrieval, aligned):
+        pair = awkward_pair(seed)
+        space = pair if aligned else pair.target
+        train = HypernymDataset(
+            [(f"t{i}", [f"t{i + 1}", f"T{i + 2}"]) for i in range(12)]
+            + [("only_t", ["t1"]), ("s1", ["only_t", "ghost"]), ("ghost", ["t2"]),
+               ("S2", ["t3"]), ("Dog", ["t4"]), ("dog", ["t4"]), ("both", ["t5", "Both"])]
+        )
+        test = HypernymDataset(
+            [(f"t{i}", [f"t{i + 1}", f"t{i + 5}"]) for i in range(12, 20)]
+            + [("T3", ["t4", "T4"]), ("t5", ["t5", "t6"]), ("t7", ["ghost"]),
+               ("ghost", ["t8"]), ("Hund", ["t9"]), ("hund", ["T9"]), ("S3", ["t1"]),
+               ("only_t", ["t2", "t3"]), ("Both", ["t6", "t7"])]
+        )
+        projection = fit_hypernym_projection(space, train)
+        assert np.array_equal(projection.matrix, reference_projection(space, train).matrix)
+        for k in (1, 3, 10):
+            report = eval_hypernyms(space, projection, test, k=k, retrieval=retrieval, csls_k=3)
+            want = reference_hypernyms(space, projection, test, k, retrieval, 3)
+            assert report == want
+            assert report.resolved == (15 if aligned else 14)

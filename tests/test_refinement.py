@@ -188,6 +188,48 @@ class TestShiftReport:
         with pytest.raises(ValueError, match="resolves"):
             similarity_shift_report(pair, pair, BilingualLexicon([("no", "no")]))
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_token_loop(self, seed):
+        src = random_space(seed, n=30)
+        tgt = random_space(seed + 100, n=30, prefix="v")
+        before = identity_pair(src, tgt)
+        lexicon = BilingualLexicon(
+            [(f"w{i}", f"v{i}") for i in range(20)]
+            + [("W20", "v20"), ("w21", "V21"), ("w22", "v22"), ("w22", "v23"), ("W22", "v23"),
+               ("ghost", "v24"), ("w24", "nowhere"), ("w29", "v29")]
+        )
+        after = apply_meemi(fit_meemi(before, lexicon), before)
+        # a later state without w29: that pair drops out of the report
+        smaller = AlignedPair(
+            EmbeddingSpace(src.vocab[:-1], after.source.matrix[:-1]), after.target, after.map, 1
+        )
+        for state in (after, smaller):
+            shift = similarity_shift_report(before, state, lexicon)
+            mean, std, positive = reference_shift(before, state, lexicon)
+            assert shift.fraction_positive == positive
+            assert abs(shift.mean_delta - mean) <= 1e-12
+            assert abs(shift.std_delta - std) <= 1e-12
+
+
+def reference_shift(before, after, lexicon):
+    """similarity_shift_report as a loop over lexicon pairs."""
+    def vector(space, token):
+        i = space.index_of(token)
+        return None if i is None else space.matrix[i]
+
+    def cosine(u, v):
+        return float(u @ v / (np.linalg.norm(u) * np.linalg.norm(v)))
+
+    deltas = []
+    for s, t in lexicon.pairs:
+        vecs = (vector(before.source, s), vector(before.target, t),
+                vector(after.source, s), vector(after.target, t))
+        if all(v is not None for v in vecs):
+            b_s, b_t, a_s, a_t = vecs
+            deltas.append(cosine(a_s, a_t) - cosine(b_s, b_t))
+    deltas = np.array(deltas)
+    return deltas.mean(), deltas.std(), (deltas > 0).mean()
+
 
 class TestPersistence:
     def test_manifest_roundtrip(self, tmp_path):
