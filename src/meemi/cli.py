@@ -7,6 +7,17 @@ flag defaults; flags given on the command line win. Every command accepts
 stdout is the same with or without it. All randomness flows from
 ``--seed``, so identical inputs and seed produce byte-identical output
 files.
+
+``align``, ``refine`` and ``fixture`` write their output files through
+``_write_all``: where ``os.fork`` exists, every file but the first is
+written by a forked child while this process writes the first, so text
+formatting (one float ``repr`` per component) runs on more than one core
+and the bytes stay the same. The child is safe because it runs only its
+writer, which formats and writes files without BLAS or logging, and then
+leaves through ``os._exit``, so no atexit hook or stdio flush runs in it;
+glibc malloc and OpenBLAS register fork handlers, so neither is left locked
+in the child. Python 3.12 and later may emit a ``DeprecationWarning`` when
+forking while OpenBLAS threads are alive; it is left visible, not silenced.
 """
 
 from __future__ import annotations
@@ -81,6 +92,36 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
     return ks
 
 
+def _write_all(*writers) -> None:
+    """Call every writer: the first here, each other one in a forked child.
+
+    The children are always reaped, and each writer whose child did not exit
+    0 (or could not be forked) runs again here, so a failing write raises its
+    own exception. Without ``os.fork`` the writers run here in order.
+    """
+    fork = getattr(os, "fork", None)
+    children = []
+    try:
+        for write in writers[1:] if fork else ():
+            try:
+                pid = fork()
+            except OSError:  # no process to spare: the writer runs here below
+                pid = None
+            if pid == 0:
+                status = 1
+                try:
+                    write()
+                    status = 0
+                finally:
+                    os._exit(status)
+            children.append((pid, write))
+        writers[0]()
+    finally:
+        failed = [write for pid, write in children if pid is None or os.waitpid(pid, 0)[1]]
+    for write in failed if fork else writers[1:]:
+        write()
+
+
 def _emit_report(report, args) -> None:
     print(report.to_tsv() if args.format == "tsv" else report.to_text())
     if getattr(args, "out", None):
@@ -104,9 +145,11 @@ def cmd_align(args) -> int:
     lexicon = load_lexicon(args.dict)
     _, coverage = resolve(lexicon, src, tgt)
     pair = align_supervised(src, tgt, lexicon, config)
-    save_space(pair.source, out / "source_mapped.vec")
-    save_space(pair.target, out / "target_normalized.vec")
-    save_map(pair.map, out / "alignment.map")
+    _write_all(
+        lambda: save_space(pair.source, out / "source_mapped.vec"),
+        lambda: save_space(pair.target, out / "target_normalized.vec"),
+        lambda: save_map(pair.map, out / "alignment.map"),
+    )
     print(f"coverage {coverage:.4f}")
     print(f"iterations {pair.iterations_run}")
     return 0
@@ -126,9 +169,11 @@ def cmd_refine(args) -> int:
     model = fit_meemi(before, lexicon)
     after = apply_meemi(model, before)
     shift = similarity_shift_report(before, after, lexicon)
-    save_space(after.source, out / "source_refined.vec")
-    save_space(after.target, out / "target_refined.vec")
-    save_meemi(model, out / "meemi.model")
+    _write_all(
+        lambda: save_space(after.source, out / "source_refined.vec"),
+        lambda: save_space(after.target, out / "target_refined.vec"),
+        lambda: save_meemi(model, out / "meemi.model"),
+    )
     print(f"pairs {model.train_pair_count}")
     print(f"mean_delta {shift.mean_delta:.6f}")
     print(f"std_delta {shift.std_delta:.6f}")
@@ -223,21 +268,27 @@ def cmd_fixture(args) -> int:
         fx = make_rotated_pair(
             SyntheticSpec(args.vocab, args.dim, args.sigma, args.seed, args.shared_vocab)
         )
-        save_space(fx.src, out / "src.vec")
-        save_space(fx.tgt, out / "tgt.vec")
-        save_lexicon(fx.gold, out / "gold.dict")
-        save_map(fx.rotation, out / "rotation.map")
+        _write_all(
+            lambda: save_space(fx.src, out / "src.vec"),
+            lambda: save_space(fx.tgt, out / "tgt.vec"),
+            lambda: save_lexicon(fx.gold, out / "gold.dict"),
+            lambda: save_map(fx.rotation, out / "rotation.map"),
+        )
     elif args.kind == "hub":
         hub = make_hub_set(args.seed)
-        save_space(hub.targets, out / "targets.vec")
-        save_space(hub.queries, out / "queries.vec")
-        save_lexicon(hub.gold, out / "gold.dict")
+        _write_all(
+            lambda: save_space(hub.targets, out / "targets.vec"),
+            lambda: save_space(hub.queries, out / "queries.vec"),
+            lambda: save_lexicon(hub.gold, out / "gold.dict"),
+        )
     else:
         tax = make_taxonomy(SyntheticSpec(args.vocab, args.dim, args.sigma, args.seed))
-        save_space(tax.space, out / "space.vec")
-        save_hypernyms(tax.train, out / "train.tsv")
-        save_hypernyms(tax.test, out / "test.tsv")
-        save_map(tax.true_map, out / "true.map")
+        _write_all(
+            lambda: save_space(tax.space, out / "space.vec"),
+            lambda: save_hypernyms(tax.train, out / "train.tsv"),
+            lambda: save_hypernyms(tax.test, out / "test.tsv"),
+            lambda: save_map(tax.true_map, out / "true.map"),
+        )
     print(f"fixture written to {out}")
     return 0
 
@@ -273,10 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="meemi",
         description="Align two embedding spaces, then pull translations toward their midpoint.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command")
 
-    p = sub.add_parser("align", help="supervised orthogonal alignment")
+    p = sub.add_parser("align", help="supervised orthogonal alignment", allow_abbrev=False)
     _add_common(p, with_out=True)
     p.add_argument("--dict", required=True, help="training dictionary")
     p.add_argument("--normalize", default="unit,center,unit",
@@ -287,22 +339,23 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=20000, help="induction vocabulary cap")
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("refine", help="meeting-in-the-middle refinement")
+    p = sub.add_parser("refine", help="meeting-in-the-middle refinement", allow_abbrev=False)
     _add_common(p, with_out=True)
     p.add_argument("--dict", required=True, help="training dictionary")
     p.add_argument("--map", default=None, help="alignment map file (optional)")
     p.set_defaults(func=cmd_refine)
 
-    p = sub.add_parser("induce", help="write the induced nearest-neighbor dictionary")
+    p = sub.add_parser("induce", help="write the induced nearest-neighbor dictionary",
+                       allow_abbrev=False)
     _add_common(p)
     p.add_argument("--cap", type=int, default=20000)
     p.add_argument("--out", required=True, help="output dictionary file")
     p.set_defaults(func=cmd_induce)
 
-    ev = sub.add_parser("eval", help="evaluation tasks")
+    ev = sub.add_parser("eval", help="evaluation tasks", allow_abbrev=False)
     ev_sub = ev.add_subparsers(dest="task")
 
-    p = ev_sub.add_parser("bli", help="bilingual dictionary induction P@k")
+    p = ev_sub.add_parser("bli", help="bilingual dictionary induction P@k", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--test", required=True, help="test dictionary")
     p.add_argument("--k", default="1,5,10", help="comma list of ranks")
@@ -310,14 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report(p)
     p.set_defaults(func=cmd_eval_bli)
 
-    p = ev_sub.add_parser("sim", help="word-similarity correlations")
+    p = ev_sub.add_parser("sim", help="word-similarity correlations", allow_abbrev=False)
     _add_common(p, tgt_required=False)
     p.add_argument("--dataset", required=True, help="w1 w2 score file")
     p.add_argument("--cross", action="store_true", help="look up w2 in --tgt")
     _add_report(p)
     p.set_defaults(func=cmd_eval_sim)
 
-    p = ev_sub.add_parser("hyper", help="hypernym discovery MRR/MAP/P@5")
+    p = ev_sub.add_parser("hyper", help="hypernym discovery MRR/MAP/P@5", allow_abbrev=False)
     _add_common(p, tgt_required=False)
     p.add_argument("--train", required=True, help="training tsv")
     p.add_argument("--test", required=True, help="test tsv")
@@ -326,14 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_report(p)
     p.set_defaults(func=cmd_eval_hyper)
 
-    p = sub.add_parser("inspect", help="print nearest neighbors of one word")
+    p = sub.add_parser("inspect", help="print nearest neighbors of one word", allow_abbrev=False)
     p.add_argument("word")
     _add_common(p, tgt_required=False)
     p.add_argument("--k", type=int, default=10)
     _add_retrieval(p)
     p.set_defaults(func=cmd_inspect)
 
-    p = sub.add_parser("fixture", help="write synthetic benchmark files")
+    p = sub.add_parser("fixture", help="write synthetic benchmark files", allow_abbrev=False)
     p.add_argument("kind", choices=("rotated", "hub", "taxonomy"))
     p.add_argument("--vocab", type=int, default=1000)
     p.add_argument("--dim", type=int, default=50)

@@ -141,6 +141,33 @@ def _file_sha256(path) -> bytes:
     return digest.digest()
 
 
+def _read_matrix(npz, limit: int | None) -> np.ndarray | None:
+    """The sidecar matrix's first ``limit`` rows (all of them without ``limit``).
+
+    Only those rows are kept in memory; the rest of the member is read in
+    chunks and dropped, so the zip CRC still checks every byte of it.
+    """
+    with npz.zip.open("matrix.npy") as fh:
+        version = np.lib.format.read_magic(fh)
+        if version == (1, 0):
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        elif version == (2, 0):
+            shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(fh)
+        else:
+            raise ValueError(f"unsupported .npy version {version}")
+        if dtype != np.float64 or len(shape) != 2 or fortran_order:
+            return None
+        matrix = np.empty((shape[0] if limit is None else min(limit, shape[0]), shape[1]))
+        view = memoryview(matrix).cast("B")
+        for start in range(0, len(view), HASH_CHUNK_BYTES):
+            part = view[start:start + HASH_CHUNK_BYTES]
+            if fh.readinto(part) != len(part):
+                raise ValueError("sidecar matrix is shorter than its header")
+        while fh.read(HASH_CHUNK_BYTES):
+            pass
+    return matrix
+
+
 def _load_sidecar(path, limit: int | None) -> EmbeddingSpace | None:
     """The space ``save_space`` wrote to ``path``, if its sidecar still matches the text."""
     sidecar = _sidecar_path(path)
@@ -152,11 +179,10 @@ def _load_sidecar(path, limit: int | None) -> EmbeddingSpace | None:
                 log.debug("%s: sidecar is stale", path)
                 return None
             vocab = npz["vocab"].tobytes().decode("utf-8").split("\n")
-            matrix = npz["matrix"]
-        if matrix.dtype != np.float64 or matrix.ndim != 2:
+            matrix = _read_matrix(npz, limit)
+        if matrix is None:
             return None
-        if limit is not None and limit < len(vocab):
-            vocab, matrix = vocab[:limit], matrix[:limit].copy()
+        vocab = vocab[:limit]
         # Zero rows (and, through EmbeddingSpace, non-finite ones) go back to
         # the text parse for its line-numbered error.
         if not (matrix != 0.0).any(axis=1).all():

@@ -24,3 +24,14 @@ def child_env():
     root = str(Path(meemi.__file__).resolve().parent.parent)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (root, env.get("PYTHONPATH")) if p)
     return env
+
+
+@pytest.fixture(autouse=True)
+def no_unreaped_children():
+    """Fail a test that leaves a child process running or unreaped."""
+    yield
+    try:
+        leaked = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"test left a child process unreaped: waitpid gave {leaked}")

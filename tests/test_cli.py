@@ -1,4 +1,5 @@
 import logging
+import os
 import subprocess
 import sys
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 from meemi.alignment import align_supervised
-from meemi.cli import main
+from meemi.cli import _write_all, main
 from meemi.embeddings import EmbeddingSpace, load_space, save_space
 from meemi.lexicon import load_lexicon
 from meemi.refinement import apply_meemi, fit_meemi
@@ -371,6 +372,16 @@ class TestConfigFile:
         assert outs[0] == outs[1]
         assert len(outs[0].splitlines()) == 1
 
+    @pytest.mark.parametrize("form", [["--conf", "{cfg}"], ["--confi={cfg}"]])
+    def test_abbreviated_config_flag_is_usage_error(self, rotated_files, tmp_path, capsys, form):
+        config = tmp_path / "run.cfg"
+        config.write_text("k=1\n")
+        base = ["inspect", "src00003", "--src", str(rotated_files["src"])]
+        assert main(base + [part.format(cfg=config) for part in form]) == 2
+        assert capsys.readouterr().out == ""
+        assert main(base + ["--config", str(config)]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 1
+
     def test_bad_config_line_is_usage_error(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("not a key value line\n")
@@ -421,6 +432,80 @@ class TestMissingPaths:
             argv += ["--src", fill["src"], "--tgt", fill["tgt"]]
         assert main(argv) == 2
         assert f"{flag} path does not exist" in capsys.readouterr().err
+
+
+def tree_bytes(root):
+    return {str(path.relative_to(root)): path.read_bytes()
+            for path in sorted(root.rglob("*")) if path.is_file()}
+
+
+class TestWriteAll:
+    """Output files written by forked children are the files written in-process."""
+
+    @pytest.mark.parametrize("command", [
+        "align", "align --self-learning --max-iter 3", "refine",
+        "fixture rotated", "fixture hub", "fixture taxonomy",
+    ])
+    def test_outputs_same_with_and_without_fork(
+        self, rotated_files, tmp_path, capsys, monkeypatch, command
+    ):
+        inputs = ["--src", str(rotated_files["src"]), "--tgt", str(rotated_files["tgt"]),
+                  "--dict", str(rotated_files["dict"])]
+        if command == "refine":
+            inputs += ["--map", str(rotated_files["map"])]
+        if command.startswith("fixture"):
+            inputs = "--vocab 120 --dim 12 --sigma 0.1 --seed 3".split()
+        runs = []
+        for name in ("forked", "serial"):
+            if name == "serial":
+                monkeypatch.delattr(os, "fork")
+            out = tmp_path / name
+            assert main(command.split() + inputs + ["--out", str(out)]) == 0
+            stdout = capsys.readouterr().out.replace(str(out), "<out>")
+            runs.append((stdout, tree_bytes(out)))
+        assert any(name.endswith(".npz") for name in runs[0][1])
+        assert runs[0] == runs[1]
+
+    def write_line(self, path, text="ok\n"):
+        return lambda: path.write_text(text)
+
+    def test_failed_fork_writes_in_process(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        paths = [tmp_path / f"{i}.txt" for i in range(3)]
+        _write_all(*(self.write_line(path, f"{i}\n") for i, path in enumerate(paths)))
+        assert [path.read_text() for path in paths] == ["0\n", "1\n", "2\n"]
+
+    def test_writer_failing_only_in_a_child_is_rerun(self, tmp_path):
+        parent, path = os.getpid(), tmp_path / "child.txt"
+
+        def write():
+            if os.getpid() != parent:
+                raise OSError("only children fail")
+            path.write_text("written here\n")
+
+        _write_all(self.write_line(tmp_path / "first.txt"), write)
+        assert path.read_text() == "written here\n"
+
+    def test_failing_writer_raises_its_own_error(self, tmp_path):
+        def write():
+            raise PermissionError("cannot write the map")
+
+        with pytest.raises(PermissionError, match="cannot write the map"):
+            _write_all(self.write_line(tmp_path / "first.txt"), write)
+        assert (tmp_path / "first.txt").read_text() == "ok\n"
+
+    def test_first_writer_failing_still_reaps_children(self, tmp_path):
+        def write():
+            raise ValueError("first writer fails")
+
+        with pytest.raises(ValueError, match="first writer fails"):
+            _write_all(write, *(self.write_line(tmp_path / name) for name in ("a.txt", "b.txt")))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert (tmp_path / "a.txt").read_text() == (tmp_path / "b.txt").read_text() == "ok\n"
 
 
 def test_importing_the_cli_leaves_scipy_unloaded(child_env):

@@ -1,5 +1,6 @@
 import logging
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -243,13 +244,26 @@ class TestSidecar:
         good = sidecar(path).read_bytes()
         damaged = [good[:n] for n in range(len(good))]
         damaged += [good[:i] + bytes([good[i] ^ 0x5A]) + good[i + 1:] for i in range(len(good))]
+        prefix = EmbeddingSpace(space.vocab[:2], space.matrix[:2])
         for data in damaged:
             sidecar(path).write_bytes(data)
             assert same_space(load_space(path), space)
+            assert same_space(load_space(path, limit=2), prefix)
         sidecar(path).write_bytes(b"\x93NUMPY not a zip")
         assert same_space(load_space(path), space)
         sidecar(path).unlink()
         assert same_space(load_space(path), space)
+
+    def test_damaged_kept_row_under_limit_goes_to_text(self, tmp_path):
+        # a matrix member of many KiB, so a limited read stops well before its end
+        space = random_space(14, n=400, d=4)
+        path = tmp_path / "s.vec"
+        save_space(space, path)
+        data = sidecar(path).read_bytes()
+        at = data.index(space.matrix[0].tobytes())
+        sidecar(path).write_bytes(data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1:])
+        prefix = EmbeddingSpace(space.vocab[:2], space.matrix[:2])
+        assert same_space(load_space(path, limit=2), prefix)
 
     def test_non_finite_sidecar_values_go_to_text(self, tmp_path):
         space = random_space(11, n=3, d=2)
@@ -271,6 +285,26 @@ class TestSidecar:
         with pytest.raises(ValueError, match=r"s\.vec:3: all-zero vector for token 'z'"):
             load_space(path)
         assert load_space(path, limit=1).vocab == ["a"]
+
+    def test_limit_reads_only_the_kept_rows(self, tmp_path, caplog):
+        space = random_space(13, n=20_000, d=300)
+        path = tmp_path / "s.vec"
+        save_space(space, path)
+        loaded, peaks = [], []
+        for keep_sidecar in (True, False):
+            if not keep_sidecar:
+                sidecar(path).unlink()
+            tracemalloc.start()
+            try:
+                with caplog.at_level(logging.DEBUG, logger="meemi.embeddings"):
+                    loaded.append(load_space(path, limit=1000))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert "loaded from its sidecar" in caplog.text
+        assert same_space(loaded[0], loaded[1])
+        assert same_space(loaded[0], EmbeddingSpace(space.vocab[:1000], space.matrix[:1000]))
+        assert peaks[0] < peaks[1]
 
     def test_two_saves_give_identical_bytes(self, tmp_path, monkeypatch):
         space = random_space(12)
