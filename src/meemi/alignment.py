@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSpace, mean_center, normalize_unit
-from .lexicon import BilingualLexicon, paired_rows, resolve_rows
+from .lexicon import BilingualLexicon, _require_resolved, _resolved_mask, paired_rows, resolve_rows
 from .retrieval import CHUNK_ROWS, _score_reduce, _unit_rows
 from .solvers import LinearMap, PairedData, apply_map, fit_procrustes
 
@@ -198,15 +198,14 @@ def iterate_self_learning(
         raise ValueError(f"dimension mismatch: source {src.dim} vs target {tgt.dim}")
     src_n = apply_normalization(src, config.normalize)
     tgt_n = apply_normalization(tgt, config.normalize)
-    seed_src, seed_tgt = paired_rows(seed_lexicon, src_n, tgt_n)
+    src_idx, tgt_idx, kept = _resolved_mask(seed_lexicon, src_n, tgt_n)
+    _require_resolved(seed_lexicon, int(np.count_nonzero(kept)))
+    seed_src, seed_tgt = src_idx[kept], tgt_idx[kept]
     # An induced pair repeats a seed pair only when both seed tokens are
     # exact vocabulary tokens: pairs are compared by token, not by row.
+    exact = np.array([s in src_n and t in tgt_n for s, t in seed_lexicon.pairs], dtype=bool)
     n_all = len(tgt_n)
-    seed_keys = np.array(
-        [src_n.index_of(s) * n_all + tgt_n.index_of(t)
-         for s, t in seed_lexicon.pairs if s in src_n and t in tgt_n],
-        dtype=np.int64,
-    )
+    seed_keys = src_idx[exact] * n_all + tgt_idx[exact]
     rows_src, rows_tgt = seed_src, seed_tgt
     nearest = None
     best_w: LinearMap | None = None

@@ -5,7 +5,9 @@ Every metric is cosine-based, so all reports are invariant under positive
 uniform scaling of the embedding spaces. Per-query work is independent;
 batch retrieval preserves input order, so aggregation is deterministic.
 Tokens become rows once, through ``EmbeddingSpace.rows_of``, and every
-metric is then computed on row indexes.
+metric is then computed on row indexes. Pearson and Spearman are computed
+in numpy with scipy's arithmetic, step for step, so they equal
+``scipy.stats.pearsonr`` and ``spearmanr`` bit for bit.
 """
 
 from __future__ import annotations
@@ -129,6 +131,33 @@ def eval_bli(
     return EvalReport("bli", dataset, retrieval, metrics, len(idx), len(query_of))
 
 
+def _pearson(x: np.ndarray, y: np.ndarray) -> float:
+    """Pearson's r in the order of scipy's ``pearsonr``: centre, scale by the
+    max-abs so the norm cannot overflow, then a ``vecdot`` of the unit series.
+    Two points give exactly +-1, as in scipy."""
+    xm = x - np.mean(x, axis=-1, keepdims=True)
+    ym = y - np.mean(y, axis=-1, keepdims=True)
+    xmax = np.max(np.abs(xm), axis=-1, keepdims=True)
+    ymax = np.max(np.abs(ym), axis=-1, keepdims=True)
+    nx = xmax * np.linalg.norm(xm / xmax, axis=-1, keepdims=True)
+    ny = ymax * np.linalg.norm(ym / ymax, axis=-1, keepdims=True)
+    r = np.clip(np.vecdot(xm / nx, ym / ny, axis=-1), -1.0, 1.0)
+    return float(np.round(r) if x.size == 2 else r)
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks, tied values sharing their mean rank (scipy's ``rankdata``)."""
+    _, inverse, counts = np.unique(x, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[inverse]
+
+
+def _spearman(x: np.ndarray, y: np.ndarray) -> float:
+    """Spearman's rho as scipy's ``spearmanr`` takes it: the correlation
+    matrix of the rank columns, so the means and sums run in the same order."""
+    ranks = np.column_stack((_average_ranks(x), _average_ranks(y)))
+    return float(np.corrcoef(ranks, rowvar=False)[1, 0])
+
+
 def eval_similarity(
     space_a: EmbeddingSpace,
     space_b: EmbeddingSpace,
@@ -138,11 +167,10 @@ def eval_similarity(
     """Pearson and Spearman correlation of cosine scores against gold.
 
     Pass the same space twice for monolingual benchmarks. Spearman uses
-    average ranks for ties. Triples with an unresolvable token or a zero
-    vector are skipped and counted.
+    average ranks for ties. Both are computed in numpy and equal scipy's
+    ``pearsonr`` and ``spearmanr`` bit for bit. Triples with an
+    unresolvable token or a zero vector are skipped and counted.
     """
-    from scipy import stats  # scipy is slow to import and only needed here
-
     rows_a = space_a.rows_of([w1 for w1, _, _ in dataset.triples])
     rows_b = space_b.rows_of([w2 for _, w2, _ in dataset.triples])
     kept = (rows_a >= 0) & (rows_b >= 0)
@@ -155,9 +183,7 @@ def eval_similarity(
     for name, series in (("predicted", preds), ("gold", golds)):
         if np.ptp(series) == 0.0:
             raise ValueError(f"{name} scores have zero variance; correlation is undefined")
-    r = float(stats.pearsonr(golds, preds).statistic)
-    rho = float(stats.spearmanr(golds, preds).statistic)
-    metrics = {"pearson_r": r, "spearman_rho": rho}
+    metrics = {"pearson_r": _pearson(golds, preds), "spearman_rho": _spearman(golds, preds)}
     return EvalReport("similarity", dataset_name, "cosine", metrics, len(preds), len(dataset.triples))
 
 

@@ -1,11 +1,14 @@
+import ast
 import logging
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meemi
 from meemi.alignment import align_supervised
 from meemi.cli import _write_all, main
 from meemi.embeddings import EmbeddingSpace, load_space, save_space
@@ -515,3 +518,36 @@ def test_importing_the_cli_leaves_scipy_unloaded(child_env):
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_eval_sim_leaves_scipy_unloaded(rotated_files, tmp_path, child_env):
+    src, tgt = load_space(rotated_files["src"]), load_space(rotated_files["tgt"])
+    data = tmp_path / "sim.txt"
+    data.write_text("".join(f"{src.vocab[i]} {tgt.vocab[i + 1]} {i % 7}\n" for i in range(20)))
+    argv = ["eval", "sim", "--src", str(rotated_files["src"]), "--tgt",
+            str(rotated_files["tgt"]), "--dataset", str(data), "--cross"]
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys; from meemi.cli import main; "
+         "code = main(sys.argv[1:]); print(code, 'scipy' in sys.modules)", *argv],
+        capture_output=True, text=True, env=child_env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert "spearman_rho" in result.stdout
+    assert result.stdout.splitlines()[-1] == "0 False"
+
+
+def test_no_module_imports_scipy():
+    paths = sorted(Path(meemi.__file__).parent.rglob("*.py"))
+    found = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "scipy"]
+    assert "evaluation.py" in {path.name for path in paths}
+    assert found == []

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
@@ -9,6 +9,8 @@ from meemi.embeddings import EmbeddingSpace
 from meemi.evaluation import (
     RETRIEVAL_MODES,
     EvalReport,
+    _pearson,
+    _spearman,
     eval_bli,
     eval_hypernyms,
     eval_similarity,
@@ -253,6 +255,44 @@ class TestEvalSimilarity:
         cubed_gold = SimilarityDataset([(a, b, g ** 3) for a, b, g in dataset.triples])
         rho_gold = eval_similarity(space, space, cubed_gold).metrics["spearman_rho"]
         assert rho_gold == pytest.approx(rho, abs=1e-12)
+
+
+def correlation_series(n, seed, kind):
+    """Two random series of length n. ``ties`` rounds them to one decimal;
+    ``offset`` puts them near 1e150 with spreads of 1e155, whose squared
+    deviations overflow unless scaled first; ``negative`` makes y a
+    decreasing linear function of x."""
+    x, y = np.random.default_rng(seed).standard_normal((2, n))
+    if kind == "ties":
+        x, y = x.round(1), y.round(1)
+    elif kind == "offset":
+        x, y = 1e150 + 1e155 * x, 1e150 + 1e155 * y
+    elif kind == "negative":
+        y = 3.0 - 2.0 * x
+    return x, y
+
+
+class TestCorrelationsMatchScipy:
+    KINDS = ("plain", "ties", "offset", "negative")
+
+    # at n == 2 the unrounded r of seed 0 is off +-1 by an ulp in every kind
+    @given(n=st.integers(2, 500), seed=st.integers(0, 2**32 - 1), kind=st.sampled_from(KINDS))
+    @example(n=2, seed=0, kind="plain")
+    @example(n=2, seed=0, kind="ties")
+    @example(n=2, seed=0, kind="offset")
+    @example(n=2, seed=0, kind="negative")
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical(self, n, seed, kind):
+        x, y = correlation_series(n, seed, kind)
+        assume(np.ptp(x) > 0 and np.ptp(y) > 0)
+        assert _pearson(x, y) == stats.pearsonr(x, y).statistic
+        assert _spearman(x, y) == stats.spearmanr(x, y).statistic
+
+    def test_offset_series_need_the_scaling(self):
+        x, _ = correlation_series(50, 1, "offset")
+        with np.errstate(over="ignore"):
+            assert np.isinf(np.linalg.norm(x - x.mean()))
+        assert _pearson(x, x) == 1.0
 
 
 class TestHypernymProjection:
