@@ -40,7 +40,7 @@ from .refinement import (
     fit_meemi,
     similarity_shift_report,
 )
-from .retrieval import RetrievalIndex, build_index, knn_cosine, knn_csls
+from .retrieval import RetrievalIndex, build_index
 from .solvers import (
     LinearMap,
     PairedData,

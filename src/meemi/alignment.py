@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, mean_center, normalize_unit
-from .lexicon import BilingualLexicon, _require_resolved, _resolved_mask, paired_rows, resolve_rows
-from .retrieval import CHUNK_ROWS, _score_reduce, _unit_rows
+from .embeddings import EmbeddingSpace, mean_center, normalize_unit, unit_rows
+from .lexicon import BilingualLexicon, paired_rows, resolve_rows
+from .retrieval import CHUNK_ROWS, _score_reduce
 from .solvers import LinearMap, PairedData, apply_map, fit_procrustes
 
 log = logging.getLogger(__name__)
@@ -77,6 +77,9 @@ class AlignedPair:
             raise ValueError("alignment map must be orthogonal")
         if self.source.dim != self.target.dim:
             raise ValueError("aligned spaces must share one dimension")
+        if self.map.d_in != self.source.dim:
+            raise ValueError(f"alignment map of size {self.map.d_in} does not fit dimension "
+                             f"{self.source.dim}")
 
 
 def apply_normalization(space: EmbeddingSpace, steps) -> EmbeddingSpace:
@@ -87,8 +90,9 @@ def apply_normalization(space: EmbeddingSpace, steps) -> EmbeddingSpace:
 
 def pair_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine between each row of ``a`` and the same row of ``b``."""
-    a = a / np.linalg.norm(a, axis=1, keepdims=True)
-    b = b / np.linalg.norm(b, axis=1, keepdims=True)
+    # rebinding lets each input go as soon as its unit copy exists
+    a = unit_rows(a)
+    b = unit_rows(b)
     return (a * b).sum(axis=1)
 
 
@@ -137,8 +141,8 @@ def induce_dictionary(aligned: AlignedPair, vocab_cap: int) -> BilingualLexicon:
         raise ValueError(f"vocab_cap must be positive, got {vocab_cap}")
     n_src = min(vocab_cap, len(aligned.source))
     n_tgt = min(vocab_cap, len(aligned.target))
-    s = _unit_rows(aligned.source.matrix[:n_src], "source")
-    t = _unit_rows(aligned.target.matrix[:n_tgt], "target")
+    s = unit_rows(aligned.source.matrix[:n_src], "source")
+    t = unit_rows(aligned.target.matrix[:n_tgt], "target")
     # Error bound of the screen. For unit rows x, y of dimension d, each term
     # x_i*y_i of a float32 score meets at most d + 2 roundings of unit
     # u = 2^-24: two inputs, the product unless fused, and at most d - 1
@@ -198,9 +202,8 @@ def iterate_self_learning(
         raise ValueError(f"dimension mismatch: source {src.dim} vs target {tgt.dim}")
     src_n = apply_normalization(src, config.normalize)
     tgt_n = apply_normalization(tgt, config.normalize)
-    src_idx, tgt_idx, kept = _resolved_mask(seed_lexicon, src_n, tgt_n)
-    _require_resolved(seed_lexicon, int(np.count_nonzero(kept)))
-    seed_src, seed_tgt = src_idx[kept], tgt_idx[kept]
+    seed_src, seed_tgt = paired_rows(seed_lexicon, src_n, tgt_n)
+    src_idx, tgt_idx, _ = resolve_rows(seed_lexicon, src_n, tgt_n)
     # An induced pair repeats a seed pair only when both seed tokens are
     # exact vocabulary tokens: pairs are compared by token, not by row.
     exact = np.array([s in src_n and t in tgt_n for s, t in seed_lexicon.pairs], dtype=bool)

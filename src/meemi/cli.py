@@ -1,8 +1,8 @@
 """Command-line front end: align, refine, induce, eval, inspect, fixture.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error. Every
-command accepts ``--config FILE`` holding ``key=value`` lines that act as
-flag defaults; flags given on the command line win. Every command accepts
+command accepts one ``--config FILE`` holding ``key=value`` lines that act
+as flag defaults; flags given on the command line win. Every command accepts
 ``-v/--verbose``, which logs each stage's progress to stderr at DEBUG;
 stdout is the same with or without it. All randomness flows from
 ``--seed``, so identical inputs and seed produce byte-identical output
@@ -38,6 +38,7 @@ from .alignment import (
 )
 from .embeddings import load_space, save_space
 from .evaluation import (
+    _topk,
     eval_bli,
     eval_hypernyms,
     eval_similarity,
@@ -53,7 +54,6 @@ from .lexicon import (
     save_lexicon,
 )
 from .refinement import apply_meemi, fit_meemi, save_meemi, similarity_shift_report
-from .retrieval import batch_cosine_topk, batch_csls_topk, build_index
 from .solvers import LinearMap, load_map, save_map
 
 
@@ -250,11 +250,8 @@ def cmd_inspect(args) -> int:
     # within one space the word's own row is dropped, so one more is retrieved
     own = -1 if args.tgt else row
     k = args.k if args.tgt else args.k + 1
-    if args.retrieval == "csls":
-        index = build_index(candidates, args.csls_k, source_space=src if args.tgt else None)
-        idx, scores = batch_csls_topk(index, src.matrix[row], k)
-    else:
-        idx, scores = batch_cosine_topk(candidates, src.matrix[row], k)
+    idx, scores = _topk(src.matrix[row], candidates, k, args.retrieval, args.csls_k,
+                        density_space=src if args.tgt else None)
     neighbors = [(candidates.vocab[j], s) for j, s in zip(idx[0], scores[0]) if j != own][: args.k]
     for rank, (token, score) in enumerate(neighbors, start=1):
         print(f"{rank}\t{token}\t{score:.4f}")
@@ -436,6 +433,8 @@ def _apply_config(argv: list[str]) -> list[str]:
             for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
     if "--config" not in argv:
         return argv
+    if argv.count("--config") > 1:
+        raise UsageError("--config may be given only once")
     i = argv.index("--config")
     if i + 1 >= len(argv):
         raise UsageError("--config needs a file path")

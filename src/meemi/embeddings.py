@@ -272,13 +272,22 @@ def save_space(space: EmbeddingSpace, path) -> None:
     )
 
 
-def normalize_unit(space: EmbeddingSpace) -> EmbeddingSpace:
-    """Scale every row to Euclidean norm 1. Idempotent; zero rows are an error."""
-    norms = np.linalg.norm(space.matrix, axis=1)
+def unit_rows(matrix: np.ndarray, what: str = "row", vocab: list[str] | None = None) -> np.ndarray:
+    """A contiguous float64 copy of ``matrix`` with every row divided by its
+    Euclidean norm. A zero row is an error naming the ``what`` vector, and
+    its token when ``vocab`` labels the rows."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    norms = np.linalg.norm(matrix, axis=1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
-        raise ValueError(f"cannot unit-normalize zero vector of token {space.vocab[zero[0]]!r}")
-    return EmbeddingSpace(space.vocab, space.matrix / norms[:, None])
+        token = "" if vocab is None else f" of token {vocab[zero[0]]!r}"
+        raise ValueError(f"cannot unit-normalize zero {what} vector{token}")
+    return matrix / norms[:, None]
+
+
+def normalize_unit(space: EmbeddingSpace) -> EmbeddingSpace:
+    """Scale every row to Euclidean norm 1. Idempotent; zero rows are an error."""
+    return EmbeddingSpace(space.vocab, unit_rows(space.matrix, vocab=space.vocab))
 
 
 def mean_center(space: EmbeddingSpace) -> EmbeddingSpace:

@@ -73,20 +73,20 @@ def _check_retrieval(retrieval: str) -> None:
         raise ValueError(f"unknown retrieval mode {retrieval!r}; use 'cosine' or 'csls'")
 
 
-def _topk_indexes(
+def _topk(
     queries: np.ndarray,
     candidates: EmbeddingSpace,
     k: int,
     retrieval: str,
     csls_k: int,
     density_space: EmbeddingSpace | None = None,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
+    """(indexes, scores) of each query's top-k candidate rows under ``retrieval``;
+    CSLS densities are taken against ``density_space`` when given."""
     if retrieval == "cosine":
-        idx, _ = batch_cosine_topk(candidates, queries, k)
-    else:
-        index = build_index(candidates, csls_k, source_space=density_space)
-        idx, _ = batch_csls_topk(index, queries, k)
-    return idx
+        return batch_cosine_topk(candidates, queries, k)
+    index = build_index(candidates, csls_k, source_space=density_space)
+    return batch_csls_topk(index, queries, k)
 
 
 def _gold_keys(candidates: EmbeddingSpace, owner: np.ndarray, golds: list[str]) -> np.ndarray:
@@ -122,9 +122,9 @@ def eval_bli(
     kept = (src_rows >= 0) & (np.bincount(keys // n, minlength=len(query_of)) > 0)
     if not kept.any():
         raise ValueError("no evaluable dictionary query resolves in the aligned spaces")
-    idx = _topk_indexes(
+    idx, _ = _topk(
         aligned.source.matrix[src_rows[kept]], aligned.target, max(ks), retrieval, csls_k,
-        density_space=aligned.source if retrieval == "csls" else None,
+        density_space=aligned.source,
     )
     hit = np.isin(np.flatnonzero(kept)[:, None] * n + idx, keys)
     metrics = {f"P@{k}": float(hit[:, :k].any(axis=1).mean()) for k in ks}
@@ -230,13 +230,12 @@ def eval_hypernyms(
     k: int = DEFAULT_HYPERNYM_K,
     retrieval: str = "cosine",
     csls_k: int = 10,
-    candidates: EmbeddingSpace | None = None,
     dataset_name: str = "",
 ) -> EvalReport:
     """MRR, MAP and P@5 over projected hypernym candidates.
 
-    Candidates default to the target space of an aligned pair (or the
-    single space itself) and never include the query's own row. Per query,
+    Candidates are the target space of an aligned pair (or the single
+    space itself) and never include the query's own row. Per query,
     the reciprocal rank is 1/rank of the first gold in the top-k list (0
     when absent), average precision is the mean precision over gold hits
     normalized by min(|gold|, k), and P@5 counts gold hits in the top 5
@@ -245,8 +244,7 @@ def eval_hypernyms(
     _check_retrieval(retrieval)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    if candidates is None:
-        candidates = space.target if isinstance(space, AlignedPair) else space
+    candidates = space.target if isinstance(space, AlignedPair) else space
     tokens = [query for query, _ in test.entries]
     queries, found = _vectors(space, tokens)
     owner = np.repeat(np.arange(len(tokens)), [len(g) for _, g in test.entries])
@@ -257,7 +255,7 @@ def eval_hypernyms(
         raise ValueError("no test query resolves in the embedding space")
     projected = queries[kept] @ projection.matrix
     # one extra rank so dropping the query's own row still leaves k
-    idx = _topk_indexes(projected, candidates, min(k + 1, len(candidates)), retrieval, csls_k)
+    idx, _ = _topk(projected, candidates, min(k + 1, len(candidates)), retrieval, csls_k)
     hit = np.isin(np.flatnonzero(kept)[:, None] * len(candidates) + idx, keys)
     own = candidates.rows_of(tokens)[kept]
     rr, ap, p5 = [], [], []

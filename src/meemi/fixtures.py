@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace
+from .embeddings import EmbeddingSpace, unit_rows
 from .lexicon import BilingualLexicon, HypernymDataset
 from .solvers import LinearMap
 
@@ -62,10 +62,6 @@ def random_rotation(dim: int, rng: np.random.Generator) -> LinearMap:
     return LinearMap(q * np.sign(np.diag(r)), orthogonal=True)
 
 
-def _unit_rows(matrix: np.ndarray) -> np.ndarray:
-    return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
-
-
 def make_rotated_pair(spec: SyntheticSpec) -> RotatedPair:
     """A Gaussian source space and its rotated (optionally noisy) copy.
 
@@ -109,9 +105,9 @@ def make_hub_set(seed: int = 0) -> HubSet:
     rng = np.random.default_rng(seed)
     center = rng.standard_normal(HUB_DIM)
     center /= np.linalg.norm(center)
-    queries = _unit_rows(center + HUB_QUERY_SPREAD * rng.standard_normal((HUB_QUERIES, HUB_DIM)))
-    specific = _unit_rows(queries + HUB_TARGET_SPREAD * rng.standard_normal((HUB_QUERIES, HUB_DIM)))
-    distractors = _unit_rows(rng.standard_normal((HUB_DISTRACTORS, HUB_DIM)))
+    queries = unit_rows(center + HUB_QUERY_SPREAD * rng.standard_normal((HUB_QUERIES, HUB_DIM)))
+    specific = unit_rows(queries + HUB_TARGET_SPREAD * rng.standard_normal((HUB_QUERIES, HUB_DIM)))
+    distractors = unit_rows(rng.standard_normal((HUB_DISTRACTORS, HUB_DIM)))
     vocab = (
         ["hub"]
         + [f"spec{i:02d}" for i in range(HUB_QUERIES)]

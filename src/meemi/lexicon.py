@@ -127,45 +127,32 @@ def save_hypernyms(dataset: HypernymDataset, path) -> None:
         fh.writelines(lines)
 
 
-def _resolved_mask(
+def resolve_rows(
     lexicon: BilingualLexicon, src_space: EmbeddingSpace, tgt_space: EmbeddingSpace
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Every pair's source and target row as ``index_of`` finds it (-1 where it
-    finds none), plus the mask of pairs where both resolve."""
+    """Every pair's source and target row, in lexicon order, plus the mask of
+    the pairs whose two tokens both resolve.
+
+    Each token resolves as in ``EmbeddingSpace.index_of``: an exact match,
+    then one lowercase-fold retry; a token that does not resolve gets row
+    -1. Nothing resolving is not an error here.
+    """
     src_idx = src_space.rows_of([s for s, _ in lexicon.pairs])
     tgt_idx = tgt_space.rows_of([t for _, t in lexicon.pairs])
     return src_idx, tgt_idx, (src_idx >= 0) & (tgt_idx >= 0)
 
 
-def _require_resolved(lexicon: BilingualLexicon, kept: int) -> None:
-    """Raise unless ``kept`` of the lexicon's pairs resolved, at least one."""
-    if not lexicon.pairs:
-        raise ValueError("cannot resolve an empty lexicon")
-    if not kept:
-        raise ValueError("no lexicon pair resolves against both vocabularies")
-
-
-def resolve_rows(
-    lexicon: BilingualLexicon, src_space: EmbeddingSpace, tgt_space: EmbeddingSpace
-) -> tuple[np.ndarray, np.ndarray, int]:
-    """Row indexes of the pairs whose two tokens both resolve, in lexicon order.
-
-    Each token resolves as in ``EmbeddingSpace.index_of``: an exact match,
-    then one lowercase-fold retry. Returns (source rows, target rows, number
-    of pairs skipped). Nothing resolving is not an error here.
-    """
-    src_idx, tgt_idx, kept = _resolved_mask(lexicon, src_space, tgt_space)
-    return src_idx[kept], tgt_idx[kept], int(kept.size - np.count_nonzero(kept))
-
-
 def paired_rows(
     lexicon: BilingualLexicon, src_space: EmbeddingSpace, tgt_space: EmbeddingSpace
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The source and target rows of ``resolve_rows``, with ``resolve``'s errors:
-    an empty lexicon, or one where no pair resolves."""
-    src_idx, tgt_idx, _ = resolve_rows(lexicon, src_space, tgt_space)
-    _require_resolved(lexicon, src_idx.size)
-    return src_idx, tgt_idx
+    """The source and target rows of the pairs that resolve, in lexicon order.
+    An empty lexicon, or one where no pair resolves, is an error."""
+    if not lexicon.pairs:
+        raise ValueError("cannot resolve an empty lexicon")
+    src_idx, tgt_idx, kept = resolve_rows(lexicon, src_space, tgt_space)
+    if not kept.any():
+        raise ValueError("no lexicon pair resolves against both vocabularies")
+    return src_idx[kept], tgt_idx[kept]
 
 
 def resolve(
@@ -176,8 +163,8 @@ def resolve(
     Coverage is kept/total. Zero kept pairs is an error because nothing
     can be fitted from an empty lexicon.
     """
-    _, _, kept = _resolved_mask(lexicon, src_space, tgt_space)
-    _require_resolved(lexicon, int(np.count_nonzero(kept)))
+    paired_rows(lexicon, src_space, tgt_space)  # raises when no pair resolves
+    _, _, kept = resolve_rows(lexicon, src_space, tgt_space)
     pairs = list(compress(lexicon.pairs, kept))
     return BilingualLexicon(pairs), len(pairs) / len(lexicon.pairs)
 

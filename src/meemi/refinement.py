@@ -22,7 +22,7 @@ import numpy as np
 
 from .alignment import AlignedPair, pair_cosines
 from .embeddings import _require_line_end
-from .lexicon import BilingualLexicon, _resolved_mask, resolve_rows
+from .lexicon import BilingualLexicon, resolve_rows
 from .solvers import LinearMap, PairedData, apply_map, fit_least_squares, load_map, save_map
 
 log = logging.getLogger(__name__)
@@ -60,13 +60,13 @@ def compute_averages(
     Returns (source rows -> mu, target rows -> mu). Pairs with an
     out-of-vocabulary side are skipped and counted.
     """
-    src_idx, tgt_idx, skipped = resolve_rows(lexicon, aligned.source, aligned.target)
-    if not src_idx.size:
+    src_idx, tgt_idx, kept = resolve_rows(lexicon, aligned.source, aligned.target)
+    if not kept.any():
         raise ValueError("no lexicon pair resolves in the aligned spaces")
-    if skipped:
-        log.info("skipped %d lexicon pairs with out-of-vocabulary tokens", skipped)
-    a = aligned.source.matrix[src_idx]
-    b = aligned.target.matrix[tgt_idx]
+    if not kept.all():
+        log.info("skipped %d lexicon pairs with out-of-vocabulary tokens", np.count_nonzero(~kept))
+    a = aligned.source.matrix[src_idx[kept]]
+    b = aligned.target.matrix[tgt_idx[kept]]
     mu = (a + b) / 2.0
     return PairedData(a, mu), PairedData(b, mu)
 
@@ -99,8 +99,8 @@ def similarity_shift_report(
     Reports the mean and standard deviation of cos(after) - cos(before)
     over resolved pairs, and the fraction of pairs that moved closer.
     """
-    src_b, tgt_b, kept_b = _resolved_mask(lexicon, before.source, before.target)
-    src_a, tgt_a, kept_a = _resolved_mask(lexicon, after.source, after.target)
+    src_b, tgt_b, kept_b = resolve_rows(lexicon, before.source, before.target)
+    src_a, tgt_a, kept_a = resolve_rows(lexicon, after.source, after.target)
     kept = kept_b & kept_a
     if not kept.any():
         raise ValueError("no lexicon pair resolves in both aligned states")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, normalize_unit
+from .embeddings import EmbeddingSpace, normalize_unit, unit_rows
 
 DEFAULT_CSLS_K = 10
 CHUNK_ROWS = 256
@@ -58,14 +58,6 @@ def worker_count() -> int:
     except ValueError:
         n = 1
     return max(1, min(n, 64))
-
-
-def _unit_rows(matrix: np.ndarray, what: str) -> np.ndarray:
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
-    if (norms == 0.0).any():
-        raise ValueError(f"zero {what} vector cannot be scored by cosine")
-    return matrix / norms[:, None]
 
 
 def _score_reduce(queries: np.ndarray, target_t: np.ndarray, reduce, threads: int | None = None) -> None:
@@ -108,11 +100,11 @@ def _stable_topk(scores: np.ndarray, k: int) -> np.ndarray:
 
 
 def _mean_topk(scores: np.ndarray, k: int) -> np.ndarray:
-    """Row-wise mean of the k largest scores."""
-    if k >= scores.shape[1]:
-        return scores.mean(axis=1)
-    top = np.partition(scores, scores.shape[1] - k, axis=1)[:, -k:]
-    return top.mean(axis=1)
+    """Row-wise mean of the k largest scores (all of them when k reaches the
+    row length). Partitions ``scores`` in place."""
+    if k < scores.shape[1]:
+        scores.partition(scores.shape[1] - k, axis=1)
+    return scores[:, -k:].mean(axis=1)
 
 
 def build_index(
@@ -137,15 +129,12 @@ def build_index(
             raise ValueError("source space dimension does not match the indexed space")
         if csls_k > len(source_space):
             raise ValueError("csls_k exceeds the registered source vocabulary")
-        other = _unit_rows(source_space.matrix, "source")
+        other = unit_rows(source_space.matrix, "source")
     density = np.empty(len(space), dtype=np.float64)
     def reduce(start, stop, sims):
-        # sims is this chunk's own block, so it is partitioned in place
         if source_space is None:
             sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
-        if csls_k < sims.shape[1]:
-            sims.partition(sims.shape[1] - csls_k, axis=1)
-        density[start:stop] = sims[:, -csls_k:].mean(axis=1)
+        density[start:stop] = _mean_topk(sims, csls_k)
     _score_reduce(unit.matrix, other.T, reduce)
     return RetrievalIndex(unit, csls_k, density)
 
@@ -160,27 +149,22 @@ def batch_cosine_topk(
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != space.dim:
         raise ValueError(f"query dimension {queries.shape[1]} != space dimension {space.dim}")
-    unit = normalize_unit(space)
+    target = unit_rows(space.matrix, "target", space.vocab)
     idx = np.empty((queries.shape[0], k), dtype=np.intp)
     top = np.empty((queries.shape[0], k), dtype=np.float64)
     def reduce(start, stop, sims):
         idx[start:stop] = _stable_topk(sims, k)
         top[start:stop] = np.take_along_axis(sims, idx[start:stop], axis=1)
-    _score_reduce(_unit_rows(queries, "query"), unit.matrix.T, reduce, threads)
+    _score_reduce(unit_rows(queries, "query"), target.T, reduce, threads)
     return idx, top
 
 
 def batch_csls_topk(
-    index: RetrievalIndex,
-    queries: np.ndarray,
-    k: int,
-    query_density: np.ndarray | None = None,
-    threads: int | None = None,
+    index: RetrievalIndex, queries: np.ndarray, k: int, threads: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k CSLS neighbors for every query row; returns (indexes, scores).
 
-    ``query_density`` overrides r_T per query; by default it is computed
-    here as the mean cosine of each query to its csls_k nearest index rows.
+    r_T of each query is its mean cosine to its csls_k nearest index rows.
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
@@ -188,34 +172,12 @@ def batch_csls_topk(
     queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
     if queries.shape[1] != index.space.dim:
         raise ValueError(f"query dimension {queries.shape[1]} != index dimension {index.space.dim}")
-    if query_density is not None:
-        query_density = np.broadcast_to(
-            np.asarray(query_density, dtype=np.float64), (queries.shape[0],)
-        )
     idx = np.empty((queries.shape[0], k), dtype=np.intp)
     top = np.empty((queries.shape[0], k), dtype=np.float64)
     def reduce(start, stop, cos):
-        if query_density is None:
-            r_query = _mean_topk(cos, index.csls_k)
-        else:
-            r_query = query_density[start:stop]
+        r_query = _mean_topk(cos.copy(), index.csls_k)
         scores = 2.0 * cos - r_query[:, None] - index.csls_density[None, :]
         idx[start:stop] = _stable_topk(scores, k)
         top[start:stop] = np.take_along_axis(scores, idx[start:stop], axis=1)
-    _score_reduce(_unit_rows(queries, "query"), index.space.matrix.T, reduce, threads)
+    _score_reduce(unit_rows(queries, "query"), index.space.matrix.T, reduce, threads)
     return idx, top
-
-
-def knn_cosine(index: RetrievalIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-    """Ranked (token, cosine) list of the k nearest rows to one query."""
-    idx, scores = batch_cosine_topk(index.space, query, k)
-    return [(index.space.vocab[i], float(s)) for i, s in zip(idx[0], scores[0])]
-
-
-def knn_csls(
-    index: RetrievalIndex, query: np.ndarray, query_density: float | None = None, k: int = 1
-) -> list[tuple[str, float]]:
-    """Ranked (token, CSLS score) list of the k best rows for one query."""
-    density = None if query_density is None else np.array([query_density])
-    idx, scores = batch_csls_topk(index, query, k, query_density=density)
-    return [(index.space.vocab[i], float(s)) for i, s in zip(idx[0], scores[0])]

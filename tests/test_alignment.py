@@ -49,6 +49,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="orthogonal"):
             AlignedPair(space, space, LinearMap(np.eye(3) * 2.0), 1)
 
+    def test_aligned_pair_requires_map_of_the_space_dimension(self):
+        rng = np.random.default_rng(0)
+        space = EmbeddingSpace(["a", "b", "c", "d"], rng.standard_normal((4, 16)))
+        with pytest.raises(ValueError, match="alignment map of size 3 does not fit dimension 16"):
+            AlignedPair(space, space, LinearMap(np.eye(3), orthogonal=True), 1)
+
 
 class TestAlignSupervised:
     def test_rotated_copy_maps_exactly(self):

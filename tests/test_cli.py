@@ -14,6 +14,7 @@ from meemi.cli import _write_all, main
 from meemi.embeddings import EmbeddingSpace, load_space, save_space
 from meemi.lexicon import load_lexicon
 from meemi.refinement import apply_meemi, fit_meemi
+from meemi.solvers import LinearMap, save_map
 
 
 @pytest.fixture
@@ -156,6 +157,23 @@ class TestRefine:
             ]
         )
         assert code == 1
+
+    def test_map_of_the_wrong_size_is_data_error(self, rotated_files, tmp_path, capsys):
+        small = tmp_path / "small.map"
+        save_map(LinearMap(np.eye(3), orthogonal=True), small)
+        code = main(
+            [
+                "refine",
+                "--src", str(rotated_files["src"]),
+                "--tgt", str(rotated_files["tgt"]),
+                "--dict", str(rotated_files["dict"]),
+                "--map", str(small),
+                "--out", str(tmp_path / "refined"),
+            ]
+        )
+        assert code == 1
+        assert "alignment map of size 3 does not fit dimension 16" in capsys.readouterr().err
+        assert not (tmp_path / "refined" / "meemi.model").exists()
 
     def test_rerun_byte_identical(self, rotated_files, tmp_path):
         aligned = self.aligned(rotated_files, tmp_path)
@@ -384,6 +402,18 @@ class TestConfigFile:
         assert capsys.readouterr().out == ""
         assert main(base + ["--config", str(config)]) == 0
         assert len(capsys.readouterr().out.splitlines()) == 1
+
+    def test_repeated_config_flag_is_usage_error(self, rotated_files, tmp_path, capsys):
+        one, three = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        one.write_text("k=1\n")
+        three.write_text("k=3\n")
+        base = ["inspect", "src00003", "--src", str(rotated_files["src"])]
+        for form in (["--config", str(three), "--config", str(one)],
+                     [f"--config={three}", "--config", str(one)]):
+            assert main(base + form) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "--config may be given only once" in captured.err
 
     def test_bad_config_line_is_usage_error(self, tmp_path):
         config = tmp_path / "run.cfg"

@@ -95,24 +95,26 @@ class TestResolve:
 class TestResolveRows:
     def test_lexicon_order_and_skipped(self):
         lex = BilingualLexicon([("b", "x"), ("q", "y"), ("a", "y"), ("a", "z"), ("b", "x")])
-        src_idx, tgt_idx, skipped = resolve_rows(lex, space_of("ab"), space_of("xy"))
-        assert src_idx.tolist() == [1, 0, 1]
-        assert tgt_idx.tolist() == [0, 1, 0]
-        assert skipped == 2
+        src_idx, tgt_idx, kept = resolve_rows(lex, space_of("ab"), space_of("xy"))
+        assert src_idx.tolist() == [1, -1, 0, 0, 1]
+        assert tgt_idx.tolist() == [0, 1, 1, -1, 0]
+        assert src_idx[kept].tolist() == [1, 0, 1]
+        assert tgt_idx[kept].tolist() == [0, 1, 0]
+        assert np.count_nonzero(~kept) == 2
 
     def test_exact_match_before_fold(self):
         src = space_of(["Dog", "dog", "cat"])
         lex = BilingualLexicon([("Dog", "x"), ("dog", "x"), ("CAT", "X"), ("DOG", "x")])
-        src_idx, tgt_idx, skipped = resolve_rows(lex, src, space_of("x"))
+        src_idx, tgt_idx, kept = resolve_rows(lex, src, space_of("x"))
         assert src_idx.tolist() == [0, 1, 2, 1]
         assert tgt_idx.tolist() == [0, 0, 0, 0]
-        assert skipped == 0
+        assert kept.all()
 
     def test_nothing_resolves_is_not_an_error(self):
         for lex in (BilingualLexicon([]), BilingualLexicon([("q", "z")])):
-            src_idx, tgt_idx, skipped = resolve_rows(lex, space_of("ab"), space_of("xy"))
-            assert src_idx.size == tgt_idx.size == 0
-            assert skipped == len(lex)
+            src_idx, tgt_idx, kept = resolve_rows(lex, space_of("ab"), space_of("xy"))
+            assert src_idx[kept].size == tgt_idx[kept].size == 0
+            assert np.count_nonzero(~kept) == len(lex)
 
     def test_paired_rows_has_the_errors_of_resolve(self):
         src, tgt = space_of("ab"), space_of("xy")
@@ -129,14 +131,14 @@ class TestResolveRows:
     def test_agrees_with_resolve(self, pairs):
         src, tgt = space_of("ab"), space_of("xy")
         lex = BilingualLexicon(pairs)
-        src_idx, tgt_idx, skipped = resolve_rows(lex, src, tgt)
+        src_idx, tgt_idx, mask = resolve_rows(lex, src, tgt)
         try:
             kept = resolve(lex, src, tgt)[0].pairs
         except ValueError:
             kept = []
-        assert src_idx.tolist() == [src.index_of(s) for s, _ in kept]
-        assert tgt_idx.tolist() == [tgt.index_of(t) for _, t in kept]
-        assert skipped == len(pairs) - len(kept)
+        assert src_idx[mask].tolist() == [src.index_of(s) for s, _ in kept]
+        assert tgt_idx[mask].tolist() == [tgt.index_of(t) for _, t in kept]
+        assert np.count_nonzero(~mask) == len(pairs) - len(kept)
 
 
 # tokens as a lexicon file holds them: nonempty, no whitespace

@@ -8,8 +8,6 @@ from meemi.retrieval import (
     batch_cosine_topk,
     batch_csls_topk,
     build_index,
-    knn_cosine,
-    knn_csls,
     worker_count,
 )
 
@@ -60,6 +58,20 @@ def space_from(matrix, prefix="t"):
     return EmbeddingSpace([f"{prefix}{i:03d}" for i in range(len(matrix))], matrix)
 
 
+def one_query(index, found):
+    """One query's ranked (token, score) list from a batch search's (indexes, scores)."""
+    idx, scores = found
+    return [(index.space.vocab[i], float(s)) for i, s in zip(idx[0], scores[0])]
+
+
+def cosine_ranked(index, query, k):
+    return one_query(index, batch_cosine_topk(index.space, query, k))
+
+
+def csls_ranked(index, query, k):
+    return one_query(index, batch_csls_topk(index, query, k))
+
+
 class TestBuildIndex:
     def test_orthonormal_rows_have_zero_density(self):
         index = build_index(space_from(np.eye(3)), csls_k=1)
@@ -105,6 +117,18 @@ class TestBuildIndex:
             assert index.csls_density[j] == pytest.approx(np.mean(sims[-3:]))
 
 
+    def test_source_density_over_the_whole_source(self):
+        # csls_k equal to the source vocabulary averages every source cosine;
+        # one more is an error
+        rng = np.random.default_rng(9)
+        tgt = space_from(rng.standard_normal((10, 4)))
+        src = space_from(rng.standard_normal((8, 4)), prefix="s")
+        index = build_index(tgt, csls_k=len(src), source_space=src)
+        want = (unit(tgt.matrix) @ unit(src.matrix).T).mean(axis=1)
+        assert np.array_equal(index.csls_density, want)
+        with pytest.raises(ValueError, match="exceeds the registered source vocabulary"):
+            build_index(tgt, csls_k=len(src) + 1, source_space=src)
+
     def test_density_sides_hand_computed(self):
         # Unit targets t0=(1,0), t1=(0,1), t2=(.6,.8); mapped sources s0=(1,0),
         # s1=(.8,.6), s2=(0,-1). With csls_k=2, r_S(y) averages y's two largest
@@ -116,7 +140,7 @@ class TestBuildIndex:
         assert mapped.csls_density == pytest.approx([0.9, 0.3, 0.78], abs=1e-12)
         assert build_index(tgt, csls_k=2).csls_density == pytest.approx([0.3, 0.4, 0.7], abs=1e-12)
         # CSLS(x, y) = 2 cos - r_T(x) - r_S(y), with r_T((1,0)) = (1 + .6) / 2
-        ranked = knn_csls(mapped, np.array([1.0, 0.0]), k=3)
+        ranked = csls_ranked(mapped, np.array([1.0, 0.0]), k=3)
         assert [t for t, _ in ranked] == ["t000", "t002", "t001"]
         assert [s for _, s in ranked] == pytest.approx([0.3, -0.38, -1.1], abs=1e-12)
 
@@ -126,30 +150,30 @@ class TestKnnCosine:
         rng = np.random.default_rng(2)
         space = space_from(rng.standard_normal((20, 5)))
         index = build_index(space, csls_k=2)
-        results = knn_cosine(index, space.matrix[7], k=3)
+        results = cosine_ranked(index, space.matrix[7], k=3)
         assert results[0][0] == "t007"
         assert results[0][1] == pytest.approx(1.0, abs=1e-9)
 
     def test_k_clamped_to_vocab(self):
         space = space_from(np.eye(3))
         index = build_index(space, csls_k=1)
-        assert len(knn_cosine(index, np.array([1.0, 0.0, 0.0]), k=10)) == 3
+        assert len(cosine_ranked(index, np.array([1.0, 0.0, 0.0]), k=10)) == 3
 
     def test_tie_broken_by_lower_index(self):
         matrix = np.array([[0.6, 0.8], [0.6, -0.8], [-1.0, 0.0]])
         index = build_index(space_from(matrix), csls_k=1)
-        results = knn_cosine(index, np.array([1.0, 0.0]), k=2)
+        results = cosine_ranked(index, np.array([1.0, 0.0]), k=2)
         assert [token for token, _ in results] == ["t000", "t001"]
 
     def test_zero_query_rejected(self):
         index = build_index(space_from(np.eye(3)), csls_k=1)
         with pytest.raises(ValueError, match="zero"):
-            knn_cosine(index, np.zeros(3), k=1)
+            cosine_ranked(index, np.zeros(3), k=1)
 
     def test_k_must_be_positive(self):
         index = build_index(space_from(np.eye(3)), csls_k=1)
         with pytest.raises(ValueError, match="k must be"):
-            knn_cosine(index, np.array([1.0, 0.0, 0.0]), k=0)
+            cosine_ranked(index, np.array([1.0, 0.0, 0.0]), k=0)
 
     @given(seed=st.integers(0, 10_000), scale=st.floats(0.5, 20.0))
     @settings(max_examples=25)
@@ -158,8 +182,8 @@ class TestKnnCosine:
         space = space_from(rng.standard_normal((15, 4)))
         index = build_index(space, csls_k=3)
         query = rng.standard_normal(4)
-        base = knn_cosine(index, query, k=5)
-        scaled = knn_cosine(index, scale * query, k=5)
+        base = cosine_ranked(index, query, k=5)
+        scaled = cosine_ranked(index, scale * query, k=5)
         assert [t for t, _ in base] == [t for t, _ in scaled]
         for (_, a), (_, b) in zip(base, scaled):
             assert a == pytest.approx(b, abs=1e-9)
@@ -173,8 +197,8 @@ class TestKnnCsls:
         space = space_from(np.eye(6))
         index = build_index(space, csls_k=2)
         query = rng.standard_normal(6)
-        cos = [t for t, _ in knn_cosine(index, query, k=6)]
-        csls = [t for t, _ in knn_csls(index, query, 0.25, k=6)]
+        cos = [t for t, _ in cosine_ranked(index, query, k=6)]
+        csls = [t for t, _ in csls_ranked(index, query, k=6)]
         assert cos == csls
 
     def test_matches_definitional_oracle_on_toy_hub(self):
@@ -190,17 +214,8 @@ class TestKnnCsls:
         for _ in range(10):
             query = unit(center + 0.2 * rng.standard_normal((1, 8)))[0]
             expected = oracle_csls_ranking(matrix, query, csls_k=3)
-            got = [space.vocab.index(t) for t, _ in knn_csls(index, query, None, k=20)]
+            got = [space.vocab.index(t) for t, _ in csls_ranked(index, query, k=20)]
             assert got == expected
-
-    def test_query_density_override_shifts_scores_only(self):
-        rng = np.random.default_rng(5)
-        space = space_from(rng.standard_normal((10, 4)))
-        index = build_index(space, csls_k=2)
-        query = rng.standard_normal(4)
-        auto = knn_csls(index, query, None, k=10)
-        shifted = knn_csls(index, query, 0.5, k=10)
-        assert [t for t, _ in auto] == [t for t, _ in shifted]
 
     def test_symmetric_with_cross_registered_densities(self):
         rng = np.random.default_rng(6)
