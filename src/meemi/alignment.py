@@ -1,9 +1,10 @@
 """Supervised orthogonal alignment of two embedding spaces.
 
-Both spaces are run through a configurable normalization pipeline, then
-an orthogonal map is fitted on dictionary pairs and applied to the source
-space only; the target space is never mapped. Because the map is an
-isometry, all pairwise cosines inside the source language are preserved.
+Both spaces are unit-normalized, mean-centred and unit-normalized again,
+as VecMap does. An orthogonal map is then fitted on dictionary pairs and
+applied to the source space only; the target space is never mapped.
+Because the map is an isometry, all pairwise cosines inside the source
+language are preserved.
 
 An optional self-learning loop alternates fitting with dictionary
 induction over the most frequent words (file order is taken to be
@@ -38,23 +39,15 @@ from .solvers import LinearMap, PairedData, apply_map, fit_procrustes
 
 log = logging.getLogger(__name__)
 
-NORMALIZE_STEPS = ("unit", "center")
-DEFAULT_NORMALIZE = ("unit", "center", "unit")
-
 
 @dataclass
 class AlignmentConfig:
-    normalize: tuple[str, ...] = DEFAULT_NORMALIZE
     self_learning: bool = False
     max_iterations: int = 50
     convergence_tol: float = 1e-6
     induction_vocab_cap: int = 20000
 
     def __post_init__(self):
-        self.normalize = tuple(self.normalize)
-        unknown = [s for s in self.normalize if s not in NORMALIZE_STEPS]
-        if unknown:
-            raise ValueError(f"unknown normalization steps {unknown}; use 'unit' or 'center'")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
         if not self.convergence_tol > 0:
@@ -82,10 +75,9 @@ class AlignedPair:
                              f"{self.source.dim}")
 
 
-def apply_normalization(space: EmbeddingSpace, steps) -> EmbeddingSpace:
-    for step in steps:
-        space = normalize_unit(space) if step == "unit" else mean_center(space)
-    return space
+def apply_normalization(space: EmbeddingSpace) -> EmbeddingSpace:
+    """Unit-normalize, mean-centre, then unit-normalize again."""
+    return normalize_unit(mean_center(normalize_unit(space)))
 
 
 def pair_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -100,7 +92,7 @@ def mean_pair_cosine(
     src: EmbeddingSpace, tgt: EmbeddingSpace, lexicon: BilingualLexicon
 ) -> float:
     """Mean cosine between the resolved pairs of a lexicon."""
-    src_idx, tgt_idx = paired_rows(lexicon, src, tgt)
+    src_idx, tgt_idx, _ = paired_rows(lexicon, src, tgt)
     return float(pair_cosines(src.matrix[src_idx], tgt.matrix[tgt_idx]).mean())
 
 
@@ -116,9 +108,9 @@ def align_supervised(
         raise ValueError(f"dimension mismatch: source {src.dim} vs target {tgt.dim}")
     if config.self_learning:
         return iterate_self_learning(src, tgt, lexicon, config)
-    src_n = apply_normalization(src, config.normalize)
-    tgt_n = apply_normalization(tgt, config.normalize)
-    src_idx, tgt_idx = paired_rows(lexicon, src_n, tgt_n)
+    src_n = apply_normalization(src)
+    tgt_n = apply_normalization(tgt)
+    src_idx, tgt_idx, _ = paired_rows(lexicon, src_n, tgt_n)
     w = fit_procrustes(PairedData(src_n.matrix[src_idx], tgt_n.matrix[tgt_idx]))
     return AlignedPair(apply_map(w, src_n), tgt_n, w, iterations_run=1)
 
@@ -200,15 +192,14 @@ def iterate_self_learning(
     config = config or AlignmentConfig()
     if src.dim != tgt.dim:
         raise ValueError(f"dimension mismatch: source {src.dim} vs target {tgt.dim}")
-    src_n = apply_normalization(src, config.normalize)
-    tgt_n = apply_normalization(tgt, config.normalize)
-    seed_src, seed_tgt = paired_rows(seed_lexicon, src_n, tgt_n)
-    src_idx, tgt_idx, _ = resolve_rows(seed_lexicon, src_n, tgt_n)
-    # An induced pair repeats a seed pair only when both seed tokens are
-    # exact vocabulary tokens: pairs are compared by token, not by row.
-    exact = np.array([s in src_n and t in tgt_n for s, t in seed_lexicon.pairs], dtype=bool)
+    src_n = apply_normalization(src)
+    tgt_n = apply_normalization(tgt)
+    seed_src, seed_tgt, kept = paired_rows(seed_lexicon, src_n, tgt_n)
+    # Pairs compare by token, so an induced pair repeats a seed pair only when
+    # both seed tokens are exact vocabulary tokens; every such pair is kept.
+    exact = np.array([s in src_n and t in tgt_n for s, t in seed_lexicon.pairs], dtype=bool)[kept]
     n_all = len(tgt_n)
-    seed_keys = src_idx[exact] * n_all + tgt_idx[exact]
+    seed_keys = seed_src[exact] * n_all + seed_tgt[exact]
     rows_src, rows_tgt = seed_src, seed_tgt
     nearest = None
     best_w: LinearMap | None = None

@@ -76,12 +76,6 @@ def _identity_pair(src, tgt, limit=None) -> AlignedPair:
     return AlignedPair(src_space, tgt_space, identity, iterations_run=0)
 
 
-def _parse_normalize(raw: str) -> tuple[str, ...]:
-    if raw.strip().lower() in ("", "none"):
-        return ()
-    return tuple(step.strip() for step in raw.split(",") if step.strip())
-
-
 def _parse_ks(raw: str) -> tuple[int, ...]:
     try:
         ks = tuple(int(part) for part in raw.split(",") if part.strip())
@@ -131,7 +125,6 @@ def _emit_report(report, args) -> None:
 
 def cmd_align(args) -> int:
     config = AlignmentConfig(
-        normalize=_parse_normalize(args.normalize),
         self_learning=args.self_learning,
         max_iterations=args.max_iter,
         convergence_tol=args.tol,
@@ -207,8 +200,8 @@ def cmd_eval_bli(args) -> int:
 
 def cmd_eval_sim(args) -> int:
     _require_paths(args, "src", "tgt", "dataset")
-    if args.cross and not args.tgt:
-        raise UsageError("--cross requires --tgt")
+    if args.cross != bool(args.tgt):
+        raise UsageError("--cross requires --tgt" if args.cross else "--tgt requires --cross")
     space_a = load_space(args.src, args.limit)
     space_b = load_space(args.tgt, args.limit) if args.cross else space_a
     report = eval_similarity(
@@ -262,9 +255,7 @@ def cmd_fixture(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     if args.kind == "rotated":
-        fx = make_rotated_pair(
-            SyntheticSpec(args.vocab, args.dim, args.sigma, args.seed, args.shared_vocab)
-        )
+        fx = make_rotated_pair(SyntheticSpec(args.vocab, args.dim, args.sigma, args.seed))
         _write_all(
             lambda: save_space(fx.src, out / "src.vec"),
             lambda: save_space(fx.tgt, out / "tgt.vec"),
@@ -328,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="supervised orthogonal alignment", allow_abbrev=False)
     _add_common(p, with_out=True)
     p.add_argument("--dict", required=True, help="training dictionary")
-    p.add_argument("--normalize", default="unit,center,unit",
-                   help="comma list of unit/center steps, or 'none'")
     p.add_argument("--self-learning", action="store_true", dest="self_learning")
     p.add_argument("--max-iter", type=int, default=50, dest="max_iter")
     p.add_argument("--tol", type=float, default=1e-6)
@@ -389,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=50)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--shared-vocab", action="store_true", dest="shared_vocab")
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="key=value defaults file")
     _add_verbose(p)
@@ -398,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-BOOL_KEYS = {"self-learning", "self_learning", "cross", "shared-vocab", "shared_vocab", "verbose"}
+BOOL_KEYS = {"self-learning", "self_learning", "cross", "verbose"}
 TRUE_WORDS = {"1", "true", "yes", "on"}
 FALSE_WORDS = {"0", "false", "no", "off"}
 

@@ -12,7 +12,6 @@ in numpy with scipy's arithmetic, step for step, so they equal
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +21,6 @@ from .embeddings import EmbeddingSpace
 from .lexicon import BilingualLexicon, HypernymDataset, SimilarityDataset
 from .retrieval import batch_cosine_topk, batch_csls_topk, build_index
 from .solvers import LinearMap, PairedData, fit_least_squares
-
-log = logging.getLogger(__name__)
 
 RETRIEVAL_MODES = ("cosine", "csls")
 DEFAULT_HYPERNYM_K = 15

@@ -26,7 +26,6 @@ class SyntheticSpec:
     dim: int
     noise_sigma: float = 0.0
     seed: int = 0
-    shared_vocab: bool = False
 
     def __post_init__(self):
         if self.vocab_size <= self.dim:
@@ -75,11 +74,8 @@ def make_rotated_pair(spec: SyntheticSpec) -> RotatedPair:
     tgt_matrix = src_matrix @ rotation.matrix
     if spec.noise_sigma > 0:
         tgt_matrix = tgt_matrix + spec.noise_sigma * rng.standard_normal(tgt_matrix.shape)
-    if spec.shared_vocab:
-        src_vocab = tgt_vocab = [f"w{i:05d}" for i in range(spec.vocab_size)]
-    else:
-        src_vocab = [f"src{i:05d}" for i in range(spec.vocab_size)]
-        tgt_vocab = [f"tgt{i:05d}" for i in range(spec.vocab_size)]
+    src_vocab = [f"src{i:05d}" for i in range(spec.vocab_size)]
+    tgt_vocab = [f"tgt{i:05d}" for i in range(spec.vocab_size)]
     gold = BilingualLexicon(list(zip(src_vocab, tgt_vocab)))
     return RotatedPair(
         EmbeddingSpace(src_vocab, src_matrix),

@@ -7,7 +7,6 @@ plain immutable-by-convention containers, safe for concurrent reads.
 
 from __future__ import annotations
 
-import logging
 import random
 from dataclasses import dataclass
 from itertools import compress
@@ -15,8 +14,6 @@ from itertools import compress
 import numpy as np
 
 from .embeddings import EmbeddingSpace
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -144,15 +141,16 @@ def resolve_rows(
 
 def paired_rows(
     lexicon: BilingualLexicon, src_space: EmbeddingSpace, tgt_space: EmbeddingSpace
-) -> tuple[np.ndarray, np.ndarray]:
-    """The source and target rows of the pairs that resolve, in lexicon order.
-    An empty lexicon, or one where no pair resolves, is an error."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The source and target rows of the pairs that resolve, in lexicon order,
+    plus the mask of those pairs over the whole lexicon. An empty lexicon, or
+    one where no pair resolves, is an error."""
     if not lexicon.pairs:
         raise ValueError("cannot resolve an empty lexicon")
     src_idx, tgt_idx, kept = resolve_rows(lexicon, src_space, tgt_space)
     if not kept.any():
         raise ValueError("no lexicon pair resolves against both vocabularies")
-    return src_idx[kept], tgt_idx[kept]
+    return src_idx[kept], tgt_idx[kept], kept
 
 
 def resolve(
@@ -163,8 +161,7 @@ def resolve(
     Coverage is kept/total. Zero kept pairs is an error because nothing
     can be fitted from an empty lexicon.
     """
-    paired_rows(lexicon, src_space, tgt_space)  # raises when no pair resolves
-    _, _, kept = resolve_rows(lexicon, src_space, tgt_space)
+    _, _, kept = paired_rows(lexicon, src_space, tgt_space)
     pairs = list(compress(lexicon.pairs, kept))
     return BilingualLexicon(pairs), len(pairs) / len(lexicon.pairs)
 

@@ -11,15 +11,12 @@ Search is exact brute force. Ties are broken by ascending vocabulary
 index, so results are reproducible. Queries are scored in chunks of
 CHUNK_ROWS rows, each reduced (top-k, mean top-k or argmax) before the
 next, so each temporary peaks at CHUNK_ROWS x V floats. Chunks run one
-after another, since BLAS already parallelises each chunk's matmul; a
-MEEMI_THREADS value above 1 opts into a thread pool of that many workers
-over the chunks. Results always come back in input order.
+after another; BLAS parallelises each chunk. Results come back in input
+order.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,31 +49,19 @@ class RetrievalIndex:
 
 
 def worker_count() -> int:
-    """Chunk-pool size: 1 unless MEEMI_THREADS > 1 opts into a pool (max 64)."""
-    try:
-        n = int(os.environ.get("MEEMI_THREADS", "0"))
-    except ValueError:
-        n = 1
-    return max(1, min(n, 64))
+    """Always 1, as chunks run serially; kept while the benchmark harness reports it."""
+    return 1
 
 
-def _score_reduce(queries: np.ndarray, target_t: np.ndarray, reduce, threads: int | None = None) -> None:
+def _score_reduce(queries: np.ndarray, target_t: np.ndarray, reduce) -> None:
     """Call reduce(start, stop, queries[start:stop] @ target_t) per row chunk.
 
     ``reduce`` owns the score block and writes into outputs the caller made.
     """
     m = queries.shape[0]
-    spans = [(start, min(start + CHUNK_ROWS, m)) for start in range(0, m, CHUNK_ROWS)]
-    def work(span):
-        start, stop = span
+    for start in range(0, m, CHUNK_ROWS):
+        stop = min(start + CHUNK_ROWS, m)
         reduce(start, stop, queries[start:stop] @ target_t)
-    threads = worker_count() if threads is None else threads
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=min(threads, len(spans))) as pool:
-            list(pool.map(work, spans))
-    else:
-        for span in spans:
-            work(span)
 
 
 def _stable_topk(scores: np.ndarray, k: int) -> np.ndarray:
@@ -140,7 +125,7 @@ def build_index(
 
 
 def batch_cosine_topk(
-    space: EmbeddingSpace, queries: np.ndarray, k: int, threads: int | None = None
+    space: EmbeddingSpace, queries: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k cosine neighbors for every query row; returns (indexes, scores)."""
     if k < 1:
@@ -155,12 +140,12 @@ def batch_cosine_topk(
     def reduce(start, stop, sims):
         idx[start:stop] = _stable_topk(sims, k)
         top[start:stop] = np.take_along_axis(sims, idx[start:stop], axis=1)
-    _score_reduce(unit_rows(queries, "query"), target.T, reduce, threads)
+    _score_reduce(unit_rows(queries, "query"), target.T, reduce)
     return idx, top
 
 
 def batch_csls_topk(
-    index: RetrievalIndex, queries: np.ndarray, k: int, threads: int | None = None
+    index: RetrievalIndex, queries: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k CSLS neighbors for every query row; returns (indexes, scores).
 
@@ -179,5 +164,5 @@ def batch_csls_topk(
         scores = 2.0 * cos - r_query[:, None] - index.csls_density[None, :]
         idx[start:stop] = _stable_topk(scores, k)
         top[start:stop] = np.take_along_axis(scores, idx[start:stop], axis=1)
-    _score_reduce(unit_rows(queries, "query"), index.space.matrix.T, reduce, threads)
+    _score_reduce(unit_rows(queries, "query"), index.space.matrix.T, reduce)
     return idx, top

@@ -29,13 +29,8 @@ def subset(lexicon, start, stop):
 class TestConfig:
     def test_defaults(self):
         config = AlignmentConfig()
-        assert config.normalize == ("unit", "center", "unit")
         assert not config.self_learning
         assert config.max_iterations == 50
-
-    def test_rejects_unknown_step(self):
-        with pytest.raises(ValueError, match="unknown"):
-            AlignmentConfig(normalize=("unit", "whiten"))
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -69,8 +64,8 @@ class TestAlignSupervised:
         fx = make_rotated_pair(SyntheticSpec(310, 300, noise_sigma=0.3, seed=11))
         one = subset(fx.gold, 0, 1)
         config = AlignmentConfig()
-        src_n = apply_normalization(fx.src, config.normalize)
-        tgt_n = apply_normalization(fx.tgt, config.normalize)
+        src_n = apply_normalization(fx.src)
+        tgt_n = apply_normalization(fx.tgt)
         before = mean_pair_cosine(src_n, tgt_n, one)
         pair = align_supervised(fx.src, fx.tgt, one, config)
         after = mean_pair_cosine(pair.source, pair.target, one)
@@ -92,7 +87,7 @@ class TestAlignSupervised:
         fx = make_rotated_pair(SyntheticSpec(80, 8, noise_sigma=0.1, seed=3))
         config = AlignmentConfig()
         pair = align_supervised(fx.src, fx.tgt, subset(fx.gold, 0, 40), config)
-        expected = apply_normalization(fx.tgt, config.normalize)
+        expected = apply_normalization(fx.tgt)
         assert np.array_equal(pair.target.matrix, expected.matrix)
 
     @given(seed=st.integers(0, 10_000))
@@ -101,7 +96,7 @@ class TestAlignSupervised:
         fx = make_rotated_pair(SyntheticSpec(40, 6, noise_sigma=0.2, seed=seed))
         config = AlignmentConfig()
         pair = align_supervised(fx.src, fx.tgt, subset(fx.gold, 0, 20), config)
-        normalized = apply_normalization(fx.src, config.normalize)
+        normalized = apply_normalization(fx.src)
         def cosines(m):
             u = m / np.linalg.norm(m, axis=1, keepdims=True)
             return u @ u.T
@@ -282,8 +277,8 @@ def reference_self_learning(src, tgt, seed_lexicon, config):
         return (np.vstack([a.matrix[a.index_of(s)] for s, _ in kept.pairs]),
                 np.vstack([b.matrix[b.index_of(t)] for _, t in kept.pairs]))
 
-    src_n = apply_normalization(src, config.normalize)
-    tgt_n = apply_normalization(tgt, config.normalize)
+    src_n = apply_normalization(src)
+    tgt_n = apply_normalization(tgt)
     seed_set = set(seed_lexicon.pairs)
     folded = {(src_n.index_of(s), tgt_n.index_of(t)) for s, t in seed_lexicon.pairs
               if src_n.index_of(s) is not None and tgt_n.index_of(t) is not None

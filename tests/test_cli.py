@@ -1,3 +1,4 @@
+import argparse
 import ast
 import logging
 import os
@@ -10,7 +11,7 @@ import pytest
 
 import meemi
 from meemi.alignment import align_supervised
-from meemi.cli import _write_all, main
+from meemi.cli import BOOL_KEYS, _write_all, build_parser, main
 from meemi.embeddings import EmbeddingSpace, load_space, save_space
 from meemi.lexicon import load_lexicon
 from meemi.refinement import apply_meemi, fit_meemi
@@ -296,6 +297,20 @@ class TestEval:
         )
         assert code == 2
 
+    def test_sim_tgt_requires_cross(self, tmp_path, capsys):
+        src, tgt = tmp_path / "src.vec", tmp_path / "tgt.vec"
+        save_space(EmbeddingSpace(["a", "b"], np.eye(2)), src)
+        save_space(EmbeddingSpace(["x", "y"], np.eye(2)), tgt)
+        data = tmp_path / "sim.txt"
+        # a cross-lingual and a monolingual dataset
+        for triples in ("a x 1\nb y 2\n", "a b 1\nb a 2\n"):
+            data.write_text(triples)
+            code = main(["eval", "sim", "--src", str(src), "--tgt", str(tgt),
+                         "--dataset", str(data)])
+            assert code == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and "--tgt requires --cross" in captured.err
+
     def test_hyper(self, tmp_path, capsys):
         code = main(
             ["fixture", "taxonomy", "--vocab", "120", "--dim", "10", "--seed", "7",
@@ -367,6 +382,18 @@ class TestInspect:
         assert len(tokens) == 2 and "cat" not in tokens
 
 
+class TestLimit:
+    def test_limit_caps_each_space(self, rotated_files, tmp_path, capsys):
+        code = main(["eval", "bli", "--src", str(rotated_files["src"]),
+                     "--tgt", str(rotated_files["tgt"]), "--test", str(rotated_files["dict"]),
+                     "--limit", "100", "--format", "tsv"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "resolved\t100" in lines and "total\t200" in lines
+        assert run_align(rotated_files, tmp_path / "out", ["--limit", "100"]) == 0
+        assert "coverage 0.5000" in capsys.readouterr().out.splitlines()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_flags_override(self, rotated_files, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -414,6 +441,18 @@ class TestConfigFile:
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "--config may be given only once" in captured.err
+
+    def test_bool_keys_are_the_store_true_flags(self):
+        # a config key in BOOL_KEYS becomes a bare flag, every other key a flag and a value
+        flags, parsers = set(), [build_parser()]
+        while parsers:
+            for action in parsers.pop()._actions:
+                if isinstance(action, argparse._SubParsersAction):
+                    parsers.extend(action.choices.values())
+                elif isinstance(action, argparse._StoreTrueAction):
+                    flags.update(f[2:] for f in action.option_strings if f.startswith("--"))
+        assert flags
+        assert BOOL_KEYS == flags | {flag.replace("-", "_") for flag in flags}
 
     def test_bad_config_line_is_usage_error(self, tmp_path):
         config = tmp_path / "run.cfg"

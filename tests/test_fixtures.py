@@ -59,11 +59,6 @@ class TestRotatedPair:
         p1 = eval_bli(pair, BilingualLexicon(fx.gold.pairs[100:]), ks=(1,)).metrics["P@1"]
         assert p1 <= 0.02
 
-    def test_shared_vocab_tokens(self):
-        fx = make_rotated_pair(SyntheticSpec(20, 4, seed=18, shared_vocab=True))
-        assert fx.src.vocab == fx.tgt.vocab
-        assert fx.gold.pairs[0] == ("w00000", "w00000")
-
 
 class TestHubSet:
     def wins(self, hub, idx):

@@ -124,8 +124,9 @@ class TestResolveRows:
                 paired_rows(lex, src, tgt)
             with pytest.raises(ValueError, match=message):
                 resolve(lex, src, tgt)
-        src_idx, tgt_idx = paired_rows(BilingualLexicon([("q", "z"), ("B", "x")]), src, tgt)
+        src_idx, tgt_idx, kept = paired_rows(BilingualLexicon([("q", "z"), ("B", "x")]), src, tgt)
         assert src_idx.tolist() == [1] and tgt_idx.tolist() == [0]
+        assert kept.tolist() == [False, True]
 
     @given(st.lists(st.tuples(st.sampled_from("abAqQ"), st.sampled_from("xyXz")), max_size=12))
     def test_agrees_with_resolve(self, pairs):

@@ -8,7 +8,6 @@ from meemi.retrieval import (
     batch_cosine_topk,
     batch_csls_topk,
     build_index,
-    worker_count,
 )
 
 
@@ -288,22 +287,9 @@ class TestBatch:
         index = build_index(space, csls_k=3)
         queries = rng.standard_normal((600, 6))
         for search, target in ((batch_cosine_topk, space), (batch_csls_topk, index)):
-            idx_serial, scores_serial = search(target, queries, k=5, threads=1)
-            idx_parallel, scores_parallel = search(target, queries, k=5, threads=4)
-            assert np.array_equal(idx_serial, idx_parallel)
-            assert np.array_equal(scores_serial, scores_parallel)
+            idx_all, _ = search(target, queries, k=5)
             idx_one, _ = search(target, queries[300], k=5)
-            assert np.array_equal(idx_serial[300], idx_one[0])
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.delenv("MEEMI_THREADS", raising=False)
-        assert worker_count() == 1
-        monkeypatch.setenv("MEEMI_THREADS", "3")
-        assert worker_count() == 3
-        monkeypatch.setenv("MEEMI_THREADS", "0")
-        assert worker_count() == 1
-        monkeypatch.setenv("MEEMI_THREADS", "junk")
-        assert worker_count() == 1
+            assert np.array_equal(idx_all[300], idx_one[0])
 
     def test_query_dimension_checked(self):
         space = space_from(np.eye(3))
