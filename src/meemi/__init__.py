@@ -31,7 +31,6 @@ from .lexicon import (
     load_lexicon,
     load_similarity,
     resolve,
-    split_lexicon,
 )
 from .refinement import (
     MeemiModel,
@@ -43,7 +42,6 @@ from .refinement import (
 from .retrieval import RetrievalIndex, build_index
 from .solvers import (
     LinearMap,
-    PairedData,
     apply_map,
     fit_least_squares,
     fit_procrustes,

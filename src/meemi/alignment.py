@@ -33,9 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingSpace, mean_center, normalize_unit, unit_rows
-from .lexicon import BilingualLexicon, paired_rows, resolve_rows
+from .lexicon import BilingualLexicon, resolve_rows
 from .retrieval import CHUNK_ROWS, _score_reduce
-from .solvers import LinearMap, PairedData, apply_map, fit_procrustes
+from .solvers import LinearMap, apply_map, fit_procrustes
 
 log = logging.getLogger(__name__)
 
@@ -92,8 +92,8 @@ def mean_pair_cosine(
     src: EmbeddingSpace, tgt: EmbeddingSpace, lexicon: BilingualLexicon
 ) -> float:
     """Mean cosine between the resolved pairs of a lexicon."""
-    src_idx, tgt_idx, _ = paired_rows(lexicon, src, tgt)
-    return float(pair_cosines(src.matrix[src_idx], tgt.matrix[tgt_idx]).mean())
+    src_idx, tgt_idx, kept = resolve_rows(lexicon, src, tgt)
+    return float(pair_cosines(src.matrix[src_idx[kept]], tgt.matrix[tgt_idx[kept]]).mean())
 
 
 def align_supervised(
@@ -110,8 +110,8 @@ def align_supervised(
         return iterate_self_learning(src, tgt, lexicon, config)
     src_n = apply_normalization(src)
     tgt_n = apply_normalization(tgt)
-    src_idx, tgt_idx, _ = paired_rows(lexicon, src_n, tgt_n)
-    w = fit_procrustes(PairedData(src_n.matrix[src_idx], tgt_n.matrix[tgt_idx]))
+    src_idx, tgt_idx, kept = resolve_rows(lexicon, src_n, tgt_n)
+    w = fit_procrustes(src_n.matrix[src_idx[kept]], tgt_n.matrix[tgt_idx[kept]])
     return AlignedPair(apply_map(w, src_n), tgt_n, w, iterations_run=1)
 
 
@@ -194,7 +194,8 @@ def iterate_self_learning(
         raise ValueError(f"dimension mismatch: source {src.dim} vs target {tgt.dim}")
     src_n = apply_normalization(src)
     tgt_n = apply_normalization(tgt)
-    seed_src, seed_tgt, kept = paired_rows(seed_lexicon, src_n, tgt_n)
+    seed_src, seed_tgt, kept = resolve_rows(seed_lexicon, src_n, tgt_n)
+    seed_src, seed_tgt = seed_src[kept], seed_tgt[kept]
     # Pairs compare by token, so an induced pair repeats a seed pair only when
     # both seed tokens are exact vocabulary tokens; every such pair is kept.
     exact = np.array([s in src_n and t in tgt_n for s, t in seed_lexicon.pairs], dtype=bool)[kept]
@@ -206,7 +207,7 @@ def iterate_self_learning(
     best_score, best_iteration = -np.inf, 0
     previous = -np.inf
     for iteration in range(1, config.max_iterations + 1):
-        w = fit_procrustes(PairedData(src_n.matrix[rows_src], tgt_n.matrix[rows_tgt]))
+        w = fit_procrustes(src_n.matrix[rows_src], tgt_n.matrix[rows_tgt])
         mapped = apply_map(w, src_n)
         induced = induce_dictionary(
             AlignedPair(mapped, tgt_n, w, iteration), config.induction_vocab_cap

@@ -149,12 +149,9 @@ def _read_matrix(npz, limit: int | None) -> np.ndarray | None:
     """
     with npz.zip.open("matrix.npy") as fh:
         version = np.lib.format.read_magic(fh)
-        if version == (1, 0):
-            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
-        elif version == (2, 0):
-            shape, fortran_order, dtype = np.lib.format.read_array_header_2_0(fh)
-        else:
+        if version != (1, 0):
             raise ValueError(f"unsupported .npy version {version}")
+        shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
         if dtype != np.float64 or len(shape) != 2 or fortran_order:
             return None
         matrix = np.empty((shape[0] if limit is None else min(limit, shape[0]), shape[1]))

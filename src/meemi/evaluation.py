@@ -20,7 +20,7 @@ from .alignment import AlignedPair, pair_cosines
 from .embeddings import EmbeddingSpace
 from .lexicon import BilingualLexicon, HypernymDataset, SimilarityDataset
 from .retrieval import batch_cosine_topk, batch_csls_topk, build_index
-from .solvers import LinearMap, PairedData, fit_least_squares
+from .solvers import LinearMap, fit_least_squares
 
 RETRIEVAL_MODES = ("cosine", "csls")
 DEFAULT_HYPERNYM_K = 15
@@ -217,7 +217,7 @@ def fit_hypernym_projection(
     kept = q_found[owner] & g_found
     if not kept.any():
         raise ValueError("no training pair resolves in the embedding space")
-    return fit_least_squares(PairedData(queries[owner[kept]], golds[kept]))
+    return fit_least_squares(queries[owner[kept]], golds[kept])
 
 
 def eval_hypernyms(

@@ -1,19 +1,19 @@
 """Bilingual dictionaries plus word-similarity and hypernym datasets.
 
 All loaders read UTF-8 text, skip blank lines and ``#`` comments, and
-report parse failures with the offending line number. Loaded datasets are
-plain immutable-by-convention containers, safe for concurrent reads.
+report parse failures, and a content line cut before its newline, with the
+offending line number. Loaded datasets are plain immutable-by-convention
+containers, safe for concurrent reads.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace
+from .embeddings import EmbeddingSpace, _require_line_end
 
 
 @dataclass
@@ -28,9 +28,6 @@ class BilingualLexicon:
 
     def __len__(self) -> int:
         return len(self.pairs)
-
-    def __iter__(self):
-        return iter(self.pairs)
 
 
 @dataclass
@@ -64,6 +61,7 @@ def _content_lines(path):
         for line_no, raw in enumerate(fh, start=1):
             line = _content(raw)
             if line is not None:
+                _require_line_end(raw, path, line_no)
                 yield line_no, line
 
 
@@ -132,25 +130,16 @@ def resolve_rows(
 
     Each token resolves as in ``EmbeddingSpace.index_of``: an exact match,
     then one lowercase-fold retry; a token that does not resolve gets row
-    -1. Nothing resolving is not an error here.
+    -1. An empty lexicon, or one where no pair resolves, is an error.
     """
-    src_idx = src_space.rows_of([s for s, _ in lexicon.pairs])
-    tgt_idx = tgt_space.rows_of([t for _, t in lexicon.pairs])
-    return src_idx, tgt_idx, (src_idx >= 0) & (tgt_idx >= 0)
-
-
-def paired_rows(
-    lexicon: BilingualLexicon, src_space: EmbeddingSpace, tgt_space: EmbeddingSpace
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The source and target rows of the pairs that resolve, in lexicon order,
-    plus the mask of those pairs over the whole lexicon. An empty lexicon, or
-    one where no pair resolves, is an error."""
     if not lexicon.pairs:
         raise ValueError("cannot resolve an empty lexicon")
-    src_idx, tgt_idx, kept = resolve_rows(lexicon, src_space, tgt_space)
+    src_idx = src_space.rows_of([s for s, _ in lexicon.pairs])
+    tgt_idx = tgt_space.rows_of([t for _, t in lexicon.pairs])
+    kept = (src_idx >= 0) & (tgt_idx >= 0)
     if not kept.any():
         raise ValueError("no lexicon pair resolves against both vocabularies")
-    return src_idx[kept], tgt_idx[kept], kept
+    return src_idx, tgt_idx, kept
 
 
 def resolve(
@@ -161,7 +150,7 @@ def resolve(
     Coverage is kept/total. Zero kept pairs is an error because nothing
     can be fitted from an empty lexicon.
     """
-    _, _, kept = paired_rows(lexicon, src_space, tgt_space)
+    _, _, kept = resolve_rows(lexicon, src_space, tgt_space)
     pairs = list(compress(lexicon.pairs, kept))
     return BilingualLexicon(pairs), len(pairs) / len(lexicon.pairs)
 
@@ -205,27 +194,3 @@ def load_hypernyms(path) -> HypernymDataset:
     if not order:
         raise ValueError(f"{path}: no hypernym entries")
     return HypernymDataset([(q, golds[q]) for q in order])
-
-
-def split_lexicon(
-    lexicon: BilingualLexicon, n_train: int, seed: int
-) -> tuple[BilingualLexicon, BilingualLexicon]:
-    """Deterministic seeded train/test split with disjoint source tokens.
-
-    All pairs sharing a source token land on the same side, so the train
-    side may overshoot ``n_train`` by at most one group.
-    """
-    total = len(lexicon.pairs)
-    if not 0 < n_train < total:
-        raise ValueError(f"n_train must be in (0, {total}), got {n_train}")
-    groups: dict[str, list[tuple[str, str]]] = {}
-    for pair in lexicon.pairs:
-        groups.setdefault(pair[0], []).append(pair)
-    sources = list(groups)
-    random.Random(seed).shuffle(sources)
-    train: list[tuple[str, str]] = []
-    test: list[tuple[str, str]] = []
-    for source in sources:
-        bucket = train if len(train) < n_train else test
-        bucket.extend(groups[source])
-    return BilingualLexicon(train), BilingualLexicon(test)

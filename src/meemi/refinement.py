@@ -23,7 +23,7 @@ import numpy as np
 from .alignment import AlignedPair, pair_cosines
 from .embeddings import _require_line_end
 from .lexicon import BilingualLexicon, resolve_rows
-from .solvers import LinearMap, PairedData, apply_map, fit_least_squares, load_map, save_map
+from .solvers import LinearMap, apply_map, fit_least_squares, load_map, save_map
 
 log = logging.getLogger(__name__)
 
@@ -54,30 +54,27 @@ class SimilarityShift(NamedTuple):
 
 def compute_averages(
     aligned: AlignedPair, lexicon: BilingualLexicon
-) -> tuple[PairedData, PairedData]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Midpoint regression rows for both directions, in lexicon order.
 
-    Returns (source rows -> mu, target rows -> mu). Pairs with an
-    out-of-vocabulary side are skipped and counted.
+    Returns (source rows, target rows, mu): both sides regress onto mu.
+    Pairs with an out-of-vocabulary side are skipped and counted.
     """
     src_idx, tgt_idx, kept = resolve_rows(lexicon, aligned.source, aligned.target)
-    if not kept.any():
-        raise ValueError("no lexicon pair resolves in the aligned spaces")
     if not kept.all():
         log.info("skipped %d lexicon pairs with out-of-vocabulary tokens", np.count_nonzero(~kept))
     a = aligned.source.matrix[src_idx[kept]]
     b = aligned.target.matrix[tgt_idx[kept]]
-    mu = (a + b) / 2.0
-    return PairedData(a, mu), PairedData(b, mu)
+    return a, b, (a + b) / 2.0
 
 
 def fit_meemi(aligned: AlignedPair, lexicon: BilingualLexicon) -> MeemiModel:
     """Fit the two independent least-squares maps toward the midpoints."""
-    toward_mu_src, toward_mu_tgt = compute_averages(aligned, lexicon)
+    a, b, mu = compute_averages(aligned, lexicon)
     return MeemiModel(
-        map_src=fit_least_squares(toward_mu_src),
-        map_tgt=fit_least_squares(toward_mu_tgt),
-        train_pair_count=len(toward_mu_src),
+        map_src=fit_least_squares(a, mu),
+        map_tgt=fit_least_squares(b, mu),
+        train_pair_count=len(mu),
     )
 
 

@@ -49,63 +49,45 @@ class LinearMap:
         return self.matrix.shape[1]
 
 
-@dataclass
-class PairedData:
-    """Row-aligned input/target matrices assembled from translation pairs."""
-
-    inputs: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.ascontiguousarray(self.inputs, dtype=np.float64)
-        self.targets = np.ascontiguousarray(self.targets, dtype=np.float64)
-        if self.inputs.ndim != 2 or self.targets.ndim != 2:
-            raise ValueError("paired data must be 2-dimensional matrices")
-        if self.inputs.shape[0] != self.targets.shape[0]:
-            raise ValueError(
-                f"row count mismatch: {self.inputs.shape[0]} inputs vs "
-                f"{self.targets.shape[0]} targets"
-            )
-        if self.inputs.shape[0] < 1:
-            raise ValueError("paired data needs at least one row")
-
-    def __len__(self) -> int:
-        return self.inputs.shape[0]
+def _paired(inputs: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Both matrices as float64, checked to be 2-D, row-aligned, nonempty and finite."""
+    A = np.ascontiguousarray(inputs, dtype=np.float64)
+    B = np.ascontiguousarray(targets, dtype=np.float64)
+    if A.ndim != 2 or B.ndim != 2:
+        raise ValueError("paired data must be 2-dimensional matrices")
+    if A.shape[0] != B.shape[0]:
+        raise ValueError(f"row count mismatch: {A.shape[0]} inputs vs {B.shape[0]} targets")
+    if A.shape[0] < 1:
+        raise ValueError("paired data needs at least one row")
+    for a, what in ((A, "inputs"), (B, "targets")):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{what} contain non-finite values")
+    return A, B
 
 
-def _require_finite(a: np.ndarray, what: str) -> None:
-    if not np.isfinite(a).all():
-        raise ValueError(f"{what} contain non-finite values")
-
-
-def fit_procrustes(data: PairedData) -> LinearMap:
+def fit_procrustes(inputs: np.ndarray, targets: np.ndarray) -> LinearMap:
     """Best orthogonal map W minimizing ||A @ W - B||_F.
 
     Closed form: with U S V' the SVD of A'B, the minimizer is W = U V'.
     W is unique whenever A'B has no repeated singular values; ties yield
     one of the equally optimal solutions.
     """
-    A, B = data.inputs, data.targets
+    A, B = _paired(inputs, targets)
     if A.shape[1] != B.shape[1]:
         raise ValueError(
             f"procrustes requires equal dimensions, got {A.shape[1]} and {B.shape[1]}"
         )
-    _require_finite(A, "inputs")
-    _require_finite(B, "targets")
     u, _, vt = np.linalg.svd(A.T @ B)
     return LinearMap(u @ vt, orthogonal=True)
 
 
-def fit_least_squares(data: PairedData) -> LinearMap:
+def fit_least_squares(inputs: np.ndarray, targets: np.ndarray) -> LinearMap:
     """Unconstrained X minimizing sum_i ||a_i @ X - b_i||^2.
 
     Solved by SVD (numpy lstsq); rank-deficient systems return the
     minimum-Frobenius-norm minimizer rather than erroring.
     """
-    A, B = data.inputs, data.targets
-    _require_finite(A, "inputs")
-    _require_finite(B, "targets")
-    solution, *_ = np.linalg.lstsq(A, B, rcond=None)
+    solution, *_ = np.linalg.lstsq(*_paired(inputs, targets), rcond=None)
     return LinearMap(solution, orthogonal=False)
 
 

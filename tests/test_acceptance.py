@@ -28,7 +28,7 @@ from meemi.fixtures import (
 from meemi.lexicon import BilingualLexicon, HypernymDataset, SimilarityDataset
 from meemi.refinement import apply_meemi, fit_meemi, similarity_shift_report
 from meemi.retrieval import batch_cosine_topk, batch_csls_topk, build_index
-from meemi.solvers import LinearMap, PairedData, fit_least_squares, fit_procrustes
+from meemi.solvers import LinearMap, fit_least_squares, fit_procrustes
 
 
 def announce(number, message):
@@ -47,7 +47,7 @@ def test_criterion_01_solver_orthogonality():
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((50, 300))
         b = rng.standard_normal((50, 300))
-        w = fit_procrustes(PairedData(a, b)).matrix
+        w = fit_procrustes(a, b).matrix
         worst = max(worst, float(np.abs(w.T @ w - np.eye(300)).max()))
     elapsed = time.perf_counter() - start
     assert worst <= 1e-8
@@ -63,7 +63,7 @@ def test_criterion_02_least_squares_oracle():
         rng = np.random.default_rng(1000 + seed)
         a = rng.standard_normal((200, 20))
         b = rng.standard_normal((200, 20))
-        x = fit_least_squares(PairedData(a, b)).matrix
+        x = fit_least_squares(a, b).matrix
         oracle = np.linalg.inv(a.T @ a) @ (a.T @ b)
         rel = np.linalg.norm(x - oracle) / np.linalg.norm(oracle)
         gradient = 2.0 * a.T @ (a @ x - b)

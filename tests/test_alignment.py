@@ -18,7 +18,7 @@ from meemi.embeddings import EmbeddingSpace
 from meemi.evaluation import eval_bli
 from meemi.fixtures import SyntheticSpec, make_rotated_pair
 from meemi.lexicon import BilingualLexicon, resolve
-from meemi.solvers import LinearMap, PairedData, apply_map, fit_procrustes
+from meemi.solvers import LinearMap, apply_map, fit_procrustes
 from test_retrieval import exact_tie_rows
 
 
@@ -288,7 +288,7 @@ def reference_self_learning(src, tgt, seed_lexicon, config):
     best_w, best_score, previous, iterations = None, -np.inf, -np.inf, 0
     for iteration in range(1, config.max_iterations + 1):
         iterations = iteration
-        w = fit_procrustes(PairedData(*rows(src_n, tgt_n, current)))
+        w = fit_procrustes(*rows(src_n, tgt_n, current))
         mapped = apply_map(w, src_n)
         induced = induce_dictionary(AlignedPair(mapped, tgt_n, w, iteration),
                                     config.induction_vocab_cap)

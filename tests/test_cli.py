@@ -330,6 +330,30 @@ class TestEval:
         for key in ("MRR", "MAP", "P@5"):
             assert key in out
 
+    def test_hyper_tgt_naming_the_src_changes_nothing(self, tmp_path, capsys):
+        tax = tmp_path / "tax"
+        assert main(["fixture", "taxonomy", "--vocab", "120", "--dim", "10", "--sigma", "1.0",
+                     "--seed", "7", "--out", str(tax)]) == 0
+        capsys.readouterr()
+        argv = ["eval", "hyper", "--src", str(tax / "space.vec"),
+                "--train", str(tax / "train.tsv"), "--test", str(tax / "test.tsv"), "--format", "tsv"]
+        outs = []
+        for extra in ([], ["--tgt", str(tax / "space.vec")]):
+            assert main(argv + extra) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0] == outs[1]
+        assert "MRR\t0.972222" in outs[0]
+
+    @pytest.mark.parametrize("ks, message", [("1,x", "--k expects integers like '1,5,10'"),
+                                             ("0,1", "--k ranks must be positive")])
+    def test_bli_bad_ranks_are_usage_errors(self, rotated_files, capsys, ks, message):
+        code = main(["eval", "bli", "--src", str(rotated_files["src"]),
+                     "--tgt", str(rotated_files["tgt"]), "--test", str(rotated_files["dict"]),
+                     "--k", ks])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+
 
 class TestInspect:
     def test_dictionary_word_translates_to_counterpart(self, rotated_files, tmp_path, capsys):
@@ -454,6 +478,19 @@ class TestConfigFile:
         assert flags
         assert BOOL_KEYS == flags | {flag.replace("-", "_") for flag in flags}
 
+    def test_boolean_values(self, rotated_files, tmp_path, capsys):
+        config = tmp_path / "c2"
+        config.write_text("self-learning=yes\nmax_iter=2\n")
+        assert run_align(rotated_files, tmp_path / "out", ["--config", str(config)]) == 0
+        assert "iterations 2" in capsys.readouterr().out
+        config.write_text("verbose=off\n")
+        assert main(["inspect", "src00003", "--src", str(rotated_files["src"]),
+                     "--config", str(config)]) == 0
+        assert capsys.readouterr().err == ""
+        config.write_text("self-learning=maybe\n")
+        assert run_align(rotated_files, tmp_path / "out", ["--config", str(config)]) == 2
+        assert "c2:1: boolean key self-learning needs true/false" in capsys.readouterr().err
+
     def test_bad_config_line_is_usage_error(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("not a key value line\n")
@@ -484,7 +521,39 @@ class TestFixtureCommand:
         assert main(["frobnicate"]) == 2
 
 
+INPUT_FLAGS = {"--src", "--tgt", "--dict", "--test", "--train", "--dataset", "--map"}
+
+
+def missing_path_cases():
+    """One case per input flag of every subcommand in ``build_parser()``: the
+    argv with every other required argument filled in, and the flag."""
+    cases, parsers = [], [([], build_parser())]
+    while parsers:
+        words, parser = parsers.pop(0)
+        fills, flags = [], []
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend((words + [name], sub) for name, sub in action.choices.items())
+            elif not action.option_strings:
+                fills.append(["w0"])  # the word `inspect` looks up
+            elif action.required:
+                flag = action.option_strings[0]
+                fills.append([flag, "{out}" if flag == "--out" else "{src}"])
+            flags += INPUT_FLAGS.intersection(action.option_strings)
+        for flag in flags:
+            argv = words + [part for fill in fills if fill[0] != flag for part in fill]
+            cases.append(pytest.param(argv, flag, id=" ".join(words + [flag])))
+    return cases
+
+
 class TestMissingPaths:
+    @pytest.mark.parametrize("command, flag", missing_path_cases())
+    def test_every_input_flag_is_checked(self, rotated_files, tmp_path, capsys, command, flag):
+        fill = {"src": str(rotated_files["src"]), "out": str(tmp_path / "out")}
+        argv = [part.format(**fill) for part in command] + [flag, str(tmp_path / "nope")]
+        assert main(argv) == 2
+        assert f"{flag} path does not exist" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "command, flag",
         [

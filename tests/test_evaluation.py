@@ -19,7 +19,7 @@ from meemi.evaluation import (
 from meemi.fixtures import SyntheticSpec, make_rotated_pair, make_taxonomy
 from meemi.lexicon import BilingualLexicon, HypernymDataset, SimilarityDataset
 from meemi.retrieval import batch_cosine_topk, batch_csls_topk, build_index
-from meemi.solvers import LinearMap, PairedData, fit_least_squares
+from meemi.solvers import LinearMap, fit_least_squares
 
 
 def pearson_oracle(x, y):
@@ -490,7 +490,7 @@ def reference_projection(space, train):
             if gv is not None:
                 inputs.append(qv)
                 targets.append(gv)
-    return fit_least_squares(PairedData(np.vstack(inputs), np.vstack(targets)))
+    return fit_least_squares(np.vstack(inputs), np.vstack(targets))
 
 
 def reference_hypernyms(space, projection, test, k, retrieval, csls_k):

@@ -11,7 +11,7 @@ from meemi.fixtures import (
 )
 from meemi.lexicon import BilingualLexicon
 from meemi.retrieval import batch_cosine_topk, batch_csls_topk, build_index
-from meemi.solvers import PairedData, fit_procrustes
+from meemi.solvers import fit_procrustes
 
 
 class TestSpec:
@@ -38,12 +38,12 @@ class TestRotatedPair:
 
     def test_noiseless_procrustes_recovers_rotation(self):
         fx = make_rotated_pair(SyntheticSpec(100, 12, noise_sigma=0.0, seed=14))
-        w = fit_procrustes(PairedData(fx.src.matrix, fx.tgt.matrix))
+        w = fit_procrustes(fx.src.matrix, fx.tgt.matrix)
         assert np.abs(w.matrix - fx.rotation.matrix).max() <= 1e-6
 
     def test_full_rank_subset_recovers_rotation(self):
         fx = make_rotated_pair(SyntheticSpec(100, 12, noise_sigma=0.0, seed=15))
-        w = fit_procrustes(PairedData(fx.src.matrix[:12], fx.tgt.matrix[:12]))
+        w = fit_procrustes(fx.src.matrix[:12], fx.tgt.matrix[:12])
         assert np.abs(w.matrix - fx.rotation.matrix).max() <= 1e-6
 
     def test_gold_pairs_cosine_one_after_exact_alignment(self):

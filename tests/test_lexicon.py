@@ -10,12 +10,10 @@ from meemi.lexicon import (
     load_hypernyms,
     load_lexicon,
     load_similarity,
-    paired_rows,
     resolve,
     resolve_rows,
     save_hypernyms,
     save_lexicon,
-    split_lexicon,
 )
 
 
@@ -110,33 +108,29 @@ class TestResolveRows:
         assert tgt_idx.tolist() == [0, 0, 0, 0]
         assert kept.all()
 
-    def test_nothing_resolves_is_not_an_error(self):
-        for lex in (BilingualLexicon([]), BilingualLexicon([("q", "z")])):
-            src_idx, tgt_idx, kept = resolve_rows(lex, space_of("ab"), space_of("xy"))
-            assert src_idx[kept].size == tgt_idx[kept].size == 0
-            assert np.count_nonzero(~kept) == len(lex)
-
-    def test_paired_rows_has_the_errors_of_resolve(self):
+    def test_has_the_errors_of_resolve(self):
         src, tgt = space_of("ab"), space_of("xy")
         for lex, message in ((BilingualLexicon([]), "cannot resolve an empty lexicon"),
                              (BilingualLexicon([("q", "z")]), "no lexicon pair resolves")):
             with pytest.raises(ValueError, match=message):
-                paired_rows(lex, src, tgt)
+                resolve_rows(lex, src, tgt)
             with pytest.raises(ValueError, match=message):
                 resolve(lex, src, tgt)
-        src_idx, tgt_idx, kept = paired_rows(BilingualLexicon([("q", "z"), ("B", "x")]), src, tgt)
-        assert src_idx.tolist() == [1] and tgt_idx.tolist() == [0]
+        src_idx, tgt_idx, kept = resolve_rows(BilingualLexicon([("q", "z"), ("B", "x")]), src, tgt)
+        assert src_idx[kept].tolist() == [1] and tgt_idx[kept].tolist() == [0]
         assert kept.tolist() == [False, True]
 
     @given(st.lists(st.tuples(st.sampled_from("abAqQ"), st.sampled_from("xyXz")), max_size=12))
     def test_agrees_with_resolve(self, pairs):
         src, tgt = space_of("ab"), space_of("xy")
         lex = BilingualLexicon(pairs)
-        src_idx, tgt_idx, mask = resolve_rows(lex, src, tgt)
         try:
-            kept = resolve(lex, src, tgt)[0].pairs
+            src_idx, tgt_idx, mask = resolve_rows(lex, src, tgt)
         except ValueError:
-            kept = []
+            # refused only when no pair resolves
+            assert all(src.index_of(s) is None or tgt.index_of(t) is None for s, t in pairs)
+            return
+        kept = resolve(lex, src, tgt)[0].pairs
         assert src_idx[mask].tolist() == [src.index_of(s) for s, _ in kept]
         assert tgt_idx[mask].tolist() == [tgt.index_of(t) for _, t in kept]
         assert np.count_nonzero(~mask) == len(pairs) - len(kept)
@@ -257,49 +251,34 @@ class TestLoadHypernyms:
             load_hypernyms(write(tmp_path, "# only comments\n"))
 
 
-class TestSplit:
-    def lexicon(self, n=10):
-        return BilingualLexicon([(f"s{i}", f"t{i}") for i in range(n)])
 
-    def test_reproducible(self):
-        first = split_lexicon(self.lexicon(), 6, seed=9)
-        second = split_lexicon(self.lexicon(), 6, seed=9)
-        assert first[0].pairs == second[0].pairs
-        assert first[1].pairs == second[1].pairs
-        assert len(first[0]) == 6 and len(first[1]) == 4
+def _save_similarity(triples, path):
+    path.write_text("".join(f"{a} {b} {score}\n" for a, b, score in triples), encoding="utf-8")
 
-    def test_different_seeds_differ(self):
-        a = split_lexicon(self.lexicon(30), 15, seed=1)[0].pairs
-        b = split_lexicon(self.lexicon(30), 15, seed=2)[0].pairs
-        assert a != b
 
-    def test_shared_source_stays_together(self):
-        lex = BilingualLexicon([("dog", "perro"), ("dog", "can"), ("cat", "gato"), ("sun", "sol")])
-        train, test = split_lexicon(lex, 2, seed=0)
-        for side in (train, test):
-            dogs = [p for p in side.pairs if p[0] == "dog"]
-            assert len(dogs) in (0, 2)
+class TestTruncation:
+    """A dataset file cut inside its last line is refused with that line's number."""
 
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="n_train"):
-            split_lexicon(self.lexicon(10), 10, seed=0)
-        with pytest.raises(ValueError, match="n_train"):
-            split_lexicon(self.lexicon(10), 0, seed=0)
+    @pytest.mark.parametrize("save, load, data", [
+        (save_lexicon, load_lexicon, BilingualLexicon([("dog", "perro"), ("cat", "gato")])),
+        (_save_similarity, load_similarity, [("cat", "dog", 7.25), ("sun", "moon", 3.15)]),
+        (save_hypernyms, load_hypernyms,
+         HypernymDataset([("cat", ["animal"]), ("dog", ["mammal", "animal"])])),
+    ])
+    def test_every_cut_of_the_last_line_is_refused(self, tmp_path, save, load, data):
+        path = tmp_path / "data.txt"
+        save(data, path)
+        raw = path.read_bytes()
+        start = raw.rindex(b"\n", 0, len(raw) - 1) + 1
+        for cut in range(start + 1, len(raw)):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match=":2: line has no newline; the file is truncated"):
+                load(path)
 
-    @given(st.integers(0, 10_000), st.integers(2, 40))
-    @settings(max_examples=50)
-    def test_partition_properties(self, seed, n):
-        rng = np.random.default_rng(seed)
-        pairs = []
-        for i in range(n):
-            source = f"s{rng.integers(0, n)}"
-            pairs.append((source, f"t{i}"))
-        lex = BilingualLexicon(list(dict.fromkeys(pairs)))
-        if len(lex) < 2:
-            return
-        n_train = int(rng.integers(1, len(lex)))
-        train, test = split_lexicon(lex, n_train, seed)
-        assert sorted(train.pairs + test.pairs) == sorted(lex.pairs)
-        assert not {s for s, _ in train.pairs} & {s for s, _ in test.pairs}
-        again = split_lexicon(lex, n_train, seed)
-        assert again[0].pairs == train.pairs and again[1].pairs == test.pairs
+    @pytest.mark.parametrize("load, text", [
+        (load_lexicon, "dog perro\n# end"),
+        (load_similarity, "cat dog 7.25\n\n  "),
+        (load_hypernyms, "cat\tanimal\n# end"),
+    ])
+    def test_unterminated_comment_or_blank_is_harmless(self, tmp_path, load, text):
+        assert len(load(write(tmp_path, text))) == 1

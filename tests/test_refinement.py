@@ -36,25 +36,22 @@ class TestComputeAverages:
     def test_midpoint_definition(self):
         src = EmbeddingSpace(["w"], np.array([[1.0, 0.0]]))
         tgt = EmbeddingSpace(["v"], np.array([[0.0, 1.0]]))
-        toward_src, toward_tgt = compute_averages(
-            identity_pair(src, tgt), BilingualLexicon([("w", "v")])
-        )
-        assert np.array_equal(toward_src.targets, [[0.5, 0.5]])
-        assert np.array_equal(toward_tgt.targets, [[0.5, 0.5]])
-        assert np.array_equal(toward_src.inputs, [[1.0, 0.0]])
-        assert np.array_equal(toward_tgt.inputs, [[0.0, 1.0]])
+        a, b, mu = compute_averages(identity_pair(src, tgt), BilingualLexicon([("w", "v")]))
+        assert np.array_equal(mu, [[0.5, 0.5]])
+        assert np.array_equal(a, [[1.0, 0.0]])
+        assert np.array_equal(b, [[0.0, 1.0]])
 
     def test_identical_vectors_are_fixed_points(self):
         space = random_space(0)
-        toward_src, _ = compute_averages(identity_pair(space, space), self_lexicon(space))
-        assert np.array_equal(toward_src.targets, toward_src.inputs)
+        a, _, mu = compute_averages(identity_pair(space, space), self_lexicon(space))
+        assert np.array_equal(mu, a)
 
     def test_oov_rows_skipped(self):
         src = random_space(1, n=5)
         tgt = random_space(2, n=5, prefix="v")
         lexicon = BilingualLexicon([("w0", "v0"), ("w1", "missing"), ("w2", "v2")])
-        toward_src, _ = compute_averages(identity_pair(src, tgt), lexicon)
-        assert len(toward_src) == 2
+        a, _, _ = compute_averages(identity_pair(src, tgt), lexicon)
+        assert len(a) == 2
 
     def test_zero_resolved_errors(self):
         src = random_space(3, n=4)

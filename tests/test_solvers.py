@@ -7,7 +7,6 @@ from hypothesis.extra import numpy as hnp
 from meemi.embeddings import EmbeddingSpace
 from meemi.solvers import (
     LinearMap,
-    PairedData,
     apply_map,
     fit_least_squares,
     fit_procrustes,
@@ -34,7 +33,7 @@ class TestProcrustes:
     def test_identity_when_targets_equal_inputs(self):
         rng = np.random.default_rng(0)
         a = rng.standard_normal((40, 8))
-        w = fit_procrustes(PairedData(a, a))
+        w = fit_procrustes(a, a)
         assert w.orthogonal
         assert np.abs(w.matrix - np.eye(8)).max() <= 1e-9
 
@@ -42,25 +41,25 @@ class TestProcrustes:
         rng = np.random.default_rng(1)
         a = rng.standard_normal((60, 10))
         r = random_orthogonal(10, rng)
-        w = fit_procrustes(PairedData(a, a @ r))
+        w = fit_procrustes(a, a @ r)
         assert np.abs(w.matrix - r).max() <= 1e-6
 
     def test_planar_quarter_turn(self):
         a = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 3.0]])
         rotation = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        w = fit_procrustes(PairedData(a, a @ rotation))
+        w = fit_procrustes(a, a @ rotation)
         assert np.abs(w.matrix - rotation).max() <= 1e-9
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="equal dimensions"):
-            fit_procrustes(PairedData(np.ones((3, 2)), np.ones((3, 4))))
+            fit_procrustes(np.ones((3, 2)), np.ones((3, 4)))
 
     def test_non_finite_input(self):
         a = np.ones((3, 2))
         b = a.copy()
         b[0, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            fit_procrustes(PairedData(a, b))
+            fit_procrustes(a, b)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10)
@@ -68,7 +67,7 @@ class TestProcrustes:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((30, 6))
         b = rng.standard_normal((30, 6))
-        w = fit_procrustes(PairedData(a, b))
+        w = fit_procrustes(a, b)
         assert np.abs(w.matrix.T @ w.matrix - np.eye(6)).max() <= 1e-8
         best = frobenius(a @ w.matrix - b)
         for _ in range(100):
@@ -80,7 +79,7 @@ class TestLeastSquares:
     def test_identity_full_rank(self):
         rng = np.random.default_rng(2)
         a = rng.standard_normal((50, 10))
-        x = fit_least_squares(PairedData(a, a))
+        x = fit_least_squares(a, a)
         assert not x.orthogonal
         assert np.abs(x.matrix - np.eye(10)).max() <= 1e-8
 
@@ -88,7 +87,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(3)
         a = rng.standard_normal((200, 20))
         b = rng.standard_normal((200, 20))
-        x = fit_least_squares(PairedData(a, b))
+        x = fit_least_squares(a, b)
         expected = normal_equations_oracle(a, b)
         assert frobenius(x.matrix - expected) / frobenius(expected) <= 1e-6
 
@@ -96,14 +95,14 @@ class TestLeastSquares:
         rng = np.random.default_rng(4)
         a = rng.standard_normal((6, 12))
         b = rng.standard_normal((6, 12))
-        x = fit_least_squares(PairedData(a, b))
+        x = fit_least_squares(a, b)
         assert frobenius(a @ x.matrix - b) <= 1e-8
 
     def test_gradient_at_optimum_vanishes(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((80, 12))
         b = rng.standard_normal((80, 12))
-        x = fit_least_squares(PairedData(a, b))
+        x = fit_least_squares(a, b)
         gradient = 2.0 * a.T @ (a @ x.matrix - b)
         assert np.abs(gradient).max() <= 1e-6 * np.abs(a.T @ b).max()
 
@@ -112,7 +111,7 @@ class TestLeastSquares:
         row = rng.standard_normal((1, 5))
         a = np.vstack([row] * 4)
         b = rng.standard_normal((4, 3))
-        x = fit_least_squares(PairedData(a, b))
+        x = fit_least_squares(a, b)
         # minimum-norm solution is orthogonal to the null space of A
         _, _, vt = np.linalg.svd(a)
         null_basis = vt[1:]
@@ -124,8 +123,8 @@ class TestLeastSquares:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((25, 5))
         b = rng.standard_normal((25, 4))
-        x = fit_least_squares(PairedData(a, b)).matrix
-        x_scaled = fit_least_squares(PairedData(a, scale * b)).matrix
+        x = fit_least_squares(a, b).matrix
+        x_scaled = fit_least_squares(a, scale * b).matrix
         assert np.abs(x_scaled - scale * x).max() <= 1e-9 * max(1.0, scale)
 
     @given(seed=st.integers(0, 10_000))
@@ -134,7 +133,7 @@ class TestLeastSquares:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((30, 6))
         b = rng.standard_normal((30, 6))
-        x = fit_least_squares(PairedData(a, b)).matrix
+        x = fit_least_squares(a, b).matrix
         base = frobenius(a @ x - b)
         for _ in range(10):
             delta = 1e-4 * rng.standard_normal(x.shape)
@@ -191,11 +190,11 @@ class TestLinearMapType:
 
     def test_paired_data_row_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
-            PairedData(np.ones((2, 3)), np.ones((3, 3)))
+            fit_least_squares(np.ones((2, 3)), np.ones((3, 3)))
 
     def test_paired_data_empty(self):
         with pytest.raises(ValueError):
-            PairedData(np.ones((0, 3)), np.ones((0, 3)))
+            fit_least_squares(np.ones((0, 3)), np.ones((0, 3)))
 
 
 class TestSerialization:
