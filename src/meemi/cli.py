@@ -8,16 +8,17 @@ stdout is the same with or without it. All randomness flows from
 ``--seed``, so identical inputs and seed produce byte-identical output
 files.
 
+Count flags (``--limit``, ``--k``, ``--csls-k``, ``--cap``, ``--max-iter``,
+``--vocab``, ``--dim``) below 1 are usage errors.
+
 ``align``, ``refine`` and ``fixture`` write their output files through
 ``_write_all``: where ``os.fork`` exists, every file but the first is
-written by a forked child while this process writes the first, so text
-formatting (one float ``repr`` per component) runs on more than one core
-and the bytes stay the same. The child is safe because it runs only its
-writer, which formats and writes files without BLAS or logging, and then
-leaves through ``os._exit``, so no atexit hook or stdio flush runs in it;
-glibc malloc and OpenBLAS register fork handlers, so neither is left locked
-in the child. Python 3.12 and later may emit a ``DeprecationWarning`` when
-forking while OpenBLAS threads are alive; it is left visible, not silenced.
+written by a forked child while this process writes the first, so whole
+files, sidecars included, are formatted and written at the same time and
+the bytes stay the same. The child runs only its writer and leaves through
+``os._exit``; it is fork-safe for the reasons the ``meemi.embeddings``
+docstring gives for its row-range children. Each ``.vec`` and ``.map``
+writer also cuts its own text into row ranges (see ``meemi.embeddings``).
 """
 
 from __future__ import annotations
@@ -114,6 +115,17 @@ def _write_all(*writers) -> None:
         failed = [write for pid, write in children if pid is None or os.waitpid(pid, 0)[1]]
     for write in failed if fork else writers[1:]:
         write()
+
+
+def _count(raw: str) -> int:
+    """Argparse type of every count flag: an integer of at least 1."""
+    try:
+        value = int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _emit_report(report, args) -> None:
@@ -232,8 +244,6 @@ def cmd_eval_hyper(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    if args.k < 1:
-        raise UsageError("--k must be at least 1")
     _require_paths(args, "src", "tgt")
     src = load_space(args.src, args.limit)
     row = src.index_of(args.word)
@@ -284,7 +294,7 @@ def cmd_fixture(args) -> int:
 def _add_common(parser, *, tgt_required=True, with_out=False):
     parser.add_argument("--src", required=True, help="source embedding file (.vec)")
     parser.add_argument("--tgt", required=tgt_required, default=None, help="target embedding file")
-    parser.add_argument("--limit", type=int, default=None, help="max vocabulary per space")
+    parser.add_argument("--limit", type=_count, default=None, help="max vocabulary per space")
     parser.add_argument("--seed", type=int, default=42,
                         help="accepted for uniform scripts; only `fixture` draws random numbers")
     parser.add_argument("--config", default=None, help="key=value defaults file")
@@ -300,7 +310,7 @@ def _add_verbose(parser):
 
 def _add_retrieval(parser):
     parser.add_argument("--retrieval", choices=("cosine", "csls"), default="cosine")
-    parser.add_argument("--csls-k", type=int, default=10, dest="csls_k")
+    parser.add_argument("--csls-k", type=_count, default=10, dest="csls_k")
 
 
 def _add_report(parser):
@@ -320,9 +330,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_out=True)
     p.add_argument("--dict", required=True, help="training dictionary")
     p.add_argument("--self-learning", action="store_true", dest="self_learning")
-    p.add_argument("--max-iter", type=int, default=50, dest="max_iter")
+    p.add_argument("--max-iter", type=_count, default=50, dest="max_iter")
     p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--cap", type=int, default=20000, help="induction vocabulary cap")
+    p.add_argument("--cap", type=_count, default=20000, help="induction vocabulary cap")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("refine", help="meeting-in-the-middle refinement", allow_abbrev=False)
@@ -334,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("induce", help="write the induced nearest-neighbor dictionary",
                        allow_abbrev=False)
     _add_common(p)
-    p.add_argument("--cap", type=int, default=20000)
+    p.add_argument("--cap", type=_count, default=20000)
     p.add_argument("--out", required=True, help="output dictionary file")
     p.set_defaults(func=cmd_induce)
 
@@ -360,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, tgt_required=False)
     p.add_argument("--train", required=True, help="training tsv")
     p.add_argument("--test", required=True, help="test tsv")
-    p.add_argument("--k", type=int, default=15)
+    p.add_argument("--k", type=_count, default=15)
     _add_retrieval(p)
     _add_report(p)
     p.set_defaults(func=cmd_eval_hyper)
@@ -368,14 +378,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("inspect", help="print nearest neighbors of one word", allow_abbrev=False)
     p.add_argument("word")
     _add_common(p, tgt_required=False)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_count, default=10)
     _add_retrieval(p)
     p.set_defaults(func=cmd_inspect)
 
     p = sub.add_parser("fixture", help="write synthetic benchmark files", allow_abbrev=False)
     p.add_argument("kind", choices=("rotated", "hub", "taxonomy"))
-    p.add_argument("--vocab", type=int, default=1000)
-    p.add_argument("--dim", type=int, default=50)
+    p.add_argument("--vocab", type=_count, default=1000)
+    p.add_argument("--dim", type=_count, default=50)
     p.add_argument("--sigma", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
@@ -405,6 +415,8 @@ def _load_config_args(path) -> list[str]:
             key, _, value = line.partition("=")
             key, value = key.strip(), value.strip()
             flag = "--" + key.replace("_", "-")
+            if flag == "--config":
+                raise UsageError(f"{path}:{line_no}: a config file cannot name another config")
             if key in BOOL_KEYS:
                 if value.lower() in TRUE_WORDS:
                     flags.append(flag)

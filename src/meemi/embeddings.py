@@ -13,6 +13,23 @@ text's digest still matches it and its values pass the checks the text
 parse makes; otherwise it parses the text, which gives the same space
 because ``repr`` round-trips float64 exactly. Deleting a sidecar is always
 safe: the next load parses the text.
+
+``save_space`` and ``solvers.save_map`` (so every library caller, not only
+the CLI) format text, one float ``repr`` per component, on several CPUs:
+the rows are cut into one contiguous range per usable CPU, at most
+``MAX_RANGES``, each of at least ``MIN_RANGE_COMPONENTS`` components.
+This process formats the first range straight into the output file; where
+``os.fork`` exists, a forked child formats each later range into an
+unlinked temporary file in the output's directory, and this process copies
+those bytes in after it, in order, so the file is the one a single process
+writes. A range whose child did not exit 0, or could not be forked, is
+formatted here, so a failing write raises its own exception; an error here
+kills the children before reaping them. The child is safe because it only
+formats rows and writes a file, without BLAS or logging, and then leaves
+through ``os._exit``, so no atexit hook or stdio flush runs in it; glibc
+malloc and OpenBLAS register fork handlers, so neither is left locked in
+the child. Python 3.12 and later may emit a ``DeprecationWarning`` when
+forking while OpenBLAS threads are alive; it is left visible, not silenced.
 """
 
 from __future__ import annotations
@@ -20,6 +37,8 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import signal
+import tempfile
 import zipfile
 from dataclasses import dataclass
 
@@ -28,11 +47,102 @@ import numpy as np
 log = logging.getLogger(__name__)
 
 HASH_CHUNK_BYTES = 1 << 20
+# About 20 ms of ``repr`` per range, against 1-2 ms for a fork.
+MIN_RANGE_COMPONENTS = 1 << 15
+# Each range past the first adds a serial fork before the formatting and a serial
+# copy after it; only two ranges have been timed against one.
+MAX_RANGES = 2
 
 
 def format_row(row: np.ndarray) -> str:
     """Space-separated shortest ``repr`` of each float: round-trips float64 exactly."""
     return " ".join(map(repr, row.tolist()))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _row_ranges(matrix: np.ndarray) -> list[tuple[int, int]]:
+    """Contiguous ``(start, stop)`` row ranges: one per usable CPU up to
+    ``MAX_RANGES``, each of at least ``MIN_RANGE_COMPONENTS`` components, and
+    one without ``os.fork``."""
+    rows = matrix.shape[0]
+    count = 1
+    if hasattr(os, "fork"):
+        count = min(MAX_RANGES, _usable_cpus(), matrix.size // MIN_RANGE_COMPONENTS, rows)
+        count = max(1, count)
+    bounds = [rows * i // count for i in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _format_rows(fh, matrix, labels, start: int, stop: int, digest=None) -> None:
+    """Write rows ``start:stop`` as text lines, each after its label and a space
+    when ``labels`` is given, and feed the bytes to ``digest`` if there is one."""
+    for i in range(start, stop):
+        line = format_row(matrix[i]) + "\n"
+        data = (line if labels is None else f"{labels[i]} {line}").encode("utf-8")
+        if digest is not None:
+            digest.update(data)
+        fh.write(data)
+
+
+def _fork_range(directory: str, matrix, labels, start: int, stop: int):
+    """A ``(pid, file)`` pair: a forked child formats the rows into the unlinked
+    temporary file; ``pid`` is None when no child could be forked."""
+    tmp = tempfile.TemporaryFile(dir=directory)
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: the range is formatted in-process
+        return None, tmp
+    if pid == 0:
+        status = 1
+        try:
+            _format_rows(tmp, matrix, labels, start, stop)
+            tmp.flush()  # os._exit skips buffer flushes
+            status = 0
+        finally:
+            os._exit(status)
+    return pid, tmp
+
+
+def _write_rows(path, header: str, matrix: np.ndarray, labels: list[str] | None = None) -> bytes:
+    """Write ``header`` then one line per matrix row (see the module docstring
+    for the ranges) and return the SHA-256 of the bytes written."""
+    ranges = _row_ranges(matrix)
+    digest = hashlib.sha256()
+    later = []
+    try:
+        with open(path, "wb") as fh:
+            directory = os.path.dirname(os.path.abspath(path))
+            for start, stop in ranges[1:]:
+                later.append((*_fork_range(directory, matrix, labels, start, stop), start, stop))
+            data = header.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+            _format_rows(fh, matrix, labels, *ranges[0], digest)
+            while later:
+                pid, tmp, start, stop = later[0]
+                ok = pid is not None and os.waitpid(pid, 0)[1] == 0
+                later.pop(0)
+                with tmp:
+                    if ok:
+                        tmp.seek(0)
+                        while chunk := tmp.read(HASH_CHUNK_BYTES):
+                            digest.update(chunk)
+                            fh.write(chunk)
+                    else:
+                        _format_rows(fh, matrix, labels, start, stop, digest)
+    finally:
+        for pid, tmp, _, _ in later:  # only after an error: their output is not needed
+            tmp.close()
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return digest.digest()
 
 
 @dataclass
@@ -250,20 +360,11 @@ def save_space(space: EmbeddingSpace, path) -> None:
     """Write a space as word2vec text (header line, then one row per token) plus its sidecar."""
     if len(space) == 0:
         raise ValueError("refusing to write an empty embedding space")
-    digest = hashlib.sha256()
-    with open(path, "wb") as fh:
-        def emit(line: str) -> None:
-            data = line.encode("utf-8")
-            digest.update(data)
-            fh.write(data)
-
-        emit(f"{len(space)} {space.dim}\n")
-        for token, row in zip(space.vocab, space.matrix):
-            emit(f"{token} {format_row(row)}\n")
+    digest = _write_rows(path, f"{len(space)} {space.dim}\n", space.matrix, space.vocab)
     # np.savez stamps every member with the zip epoch, so equal spaces give equal bytes.
     np.savez(
         _sidecar_path(path),
-        sha256=np.frombuffer(digest.digest(), dtype=np.uint8),
+        sha256=np.frombuffer(digest, dtype=np.uint8),
         vocab=np.frombuffer("\n".join(space.vocab).encode("utf-8"), dtype=np.uint8),
         matrix=space.matrix,
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _require_line_end, format_row
+from .embeddings import EmbeddingSpace, _require_line_end, _write_rows
 
 ORTHOGONALITY_TOL = 1e-8
 
@@ -102,10 +102,8 @@ def apply_map(linear_map: LinearMap, space: EmbeddingSpace) -> EmbeddingSpace:
 
 def save_map(linear_map: LinearMap, path) -> None:
     """Write `<d_in> <d_out> <orthogonal:0|1>` then one row of floats per line."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{linear_map.d_in} {linear_map.d_out} {1 if linear_map.orthogonal else 0}\n")
-        for row in linear_map.matrix:
-            fh.write(format_row(row) + "\n")
+    header = f"{linear_map.d_in} {linear_map.d_out} {1 if linear_map.orthogonal else 0}\n"
+    _write_rows(path, header, linear_map.matrix)
 
 
 def load_map(path) -> LinearMap:

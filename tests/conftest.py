@@ -26,6 +26,19 @@ def child_env():
     return env
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The ``os.fork`` calls this process makes, one entry each."""
+    calls, fork = [], os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
 @pytest.fixture(autouse=True)
 def no_unreaped_children():
     """Fail a test that leaves a child process running or unreaped."""

@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import meemi
+from meemi import embeddings
 from meemi.alignment import align_supervised
-from meemi.cli import BOOL_KEYS, _write_all, build_parser, main
+from meemi.cli import BOOL_KEYS, _count, _write_all, build_parser, main
 from meemi.embeddings import EmbeddingSpace, load_space, save_space
 from meemi.lexicon import load_lexicon
 from meemi.refinement import apply_meemi, fit_meemi
@@ -491,6 +492,17 @@ class TestConfigFile:
         assert run_align(rotated_files, tmp_path / "out", ["--config", str(config)]) == 2
         assert "c2:1: boolean key self-learning needs true/false" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["config", " config "])
+    def test_config_naming_a_config_is_usage_error(self, rotated_files, tmp_path, capsys, key):
+        inner, outer = tmp_path / "c2", tmp_path / "c1"
+        inner.write_text("k=2\n")
+        outer.write_text(f"# defaults\n{key}={inner}\n")
+        assert main(["inspect", "src00003", "--src", str(rotated_files["src"]),
+                     "--config", str(outer)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{outer}:2: a config file cannot name another config" in captured.err
+
     def test_bad_config_line_is_usage_error(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text("not a key value line\n")
@@ -519,6 +531,40 @@ class TestFixtureCommand:
 
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 2
+
+
+def test_every_integer_flag_but_seed_is_a_count():
+    actions, parsers = [], [build_parser()]
+    while parsers:
+        for action in parsers.pop()._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+            elif action.type in (int, _count) and "--seed" not in action.option_strings:
+                actions.append(action)
+    assert {flag for action in actions for flag in action.option_strings} == {
+        "--limit", "--k", "--csls-k", "--cap", "--max-iter", "--vocab", "--dim"}
+    assert all(action.type is _count for action in actions)
+
+
+@pytest.mark.parametrize("argv", [
+    "eval bli --src {src} --tgt {tgt} --test {dict} --limit 0",
+    "eval bli --src {src} --tgt {tgt} --test {dict} --retrieval csls --csls-k 0",
+    "align --src {src} --tgt {tgt} --dict {dict} --self-learning --max-iter 0 --out {out}",
+    "align --src {src} --tgt {tgt} --dict {dict} --self-learning --cap -1 --out {out}",
+    "inspect src00003 --src {src} --k 0",
+    "eval hyper --src {src} --train {dict} --test {dict} --k 0",
+    "fixture rotated --vocab 0 --out {out}",
+    "fixture rotated --dim 0 --out {out}",
+    "eval bli --src {src} --tgt {tgt} --test {dict} --limit ten",
+])
+def test_count_flags_below_one_are_usage_errors(rotated_files, tmp_path, capsys, argv):
+    fill = {key: str(path) for key, path in rotated_files.items()}
+    fill["out"] = str(tmp_path / "out")
+    assert main(argv.format(**fill).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert ("must be at least 1" in captured.err) != argv.endswith("ten")
+    assert not (tmp_path / "out").exists()
 
 
 INPUT_FLAGS = {"--src", "--tgt", "--dict", "--test", "--train", "--dataset", "--map"}
@@ -588,17 +634,25 @@ class TestWriteAll:
         "fixture rotated", "fixture hub", "fixture taxonomy",
     ])
     def test_outputs_same_with_and_without_fork(
-        self, rotated_files, tmp_path, capsys, monkeypatch, command
+        self, tmp_path, capsys, monkeypatch, forks, command
     ):
-        inputs = ["--src", str(rotated_files["src"]), "--tgt", str(rotated_files["tgt"]),
-                  "--dict", str(rotated_files["dict"])]
-        if command == "refine":
-            inputs += ["--map", str(rotated_files["map"])]
-        if command.startswith("fixture"):
-            inputs = "--vocab 120 --dim 12 --sigma 0.1 --seed 3".split()
+        monkeypatch.setattr(embeddings, "_usable_cpus", lambda: 2)
+        inputs = "--vocab 1100 --dim 64 --sigma 0.1 --seed 3".split()  # 70400 components
+        if command == "fixture hub":  # the hub set is always 33 x 24
+            monkeypatch.setattr(embeddings, "MIN_RANGE_COMPONENTS", 256)
+        if not command.startswith("fixture"):
+            fx = tmp_path / "fx"
+            assert main(["fixture", "rotated", *inputs, "--out", str(fx)]) == 0
+            inputs = ["--src", str(fx / "src.vec"), "--tgt", str(fx / "tgt.vec"),
+                      "--dict", str(fx / "gold.dict")]
+            if command == "refine":
+                inputs += ["--map", str(fx / "rotation.map")]
+        capsys.readouterr()
+        forks.clear()
         runs = []
         for name in ("forked", "serial"):
             if name == "serial":
+                assert forks
                 monkeypatch.delattr(os, "fork")
             out = tmp_path / name
             assert main(command.split() + inputs + ["--out", str(out)]) == 0

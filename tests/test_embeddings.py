@@ -1,4 +1,5 @@
 import logging
+import os
 import time
 import tracemalloc
 
@@ -8,13 +9,16 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from meemi import embeddings
 from meemi.embeddings import (
     EmbeddingSpace,
+    format_row,
     load_space,
     mean_center,
     normalize_unit,
     save_space,
 )
+from meemi.solvers import LinearMap, load_map, save_map
 
 
 def write(tmp_path, text, name="space.vec"):
@@ -314,6 +318,145 @@ class TestSidecar:
         save_space(space, second)
         assert first.read_bytes() == second.read_bytes()
         assert sidecar(first).read_bytes() == sidecar(second).read_bytes()
+
+
+def uneven_space():
+    """1799 x 96: big enough for five ranges, and every cut between 1 to 5
+    ranges falls on an odd row. Tokens hold multi-byte UTF-8."""
+    space = random_space(5, 1799, 96)
+    return EmbeddingSpace([f"w\u00f6rd{i}\u8a9e" for i in range(len(space))], space.matrix)
+
+
+class TestRangeWriter:
+    @pytest.fixture
+    def ranges(self, monkeypatch):
+        """Set how many ranges a big enough save is cut into."""
+        def set_count(count):
+            monkeypatch.setattr(embeddings, "MAX_RANGES", count)
+            monkeypatch.setattr(embeddings, "_usable_cpus", lambda: count)
+
+        return set_count
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    def test_same_bytes_for_any_range_count(self, tmp_path, ranges, forks, count):
+        space = uneven_space()
+        linear_map = LinearMap(space.matrix)
+        saved = {}
+        for ranges_used in (1, count):
+            ranges(ranges_used)
+            out = tmp_path / str(ranges_used)
+            out.mkdir(exist_ok=True)
+            save_space(space, out / "s.vec")
+            save_map(linear_map, out / "m.map")
+            saved[ranges_used] = [(out / name).read_bytes()
+                                  for name in ("s.vec", "s.vec.npz", "m.map")]
+        assert len(forks) == 2 * (count - 1)
+        assert saved[count] == saved[1]
+        vec, _, map_text = saved[1]
+        rows = [format_row(row) for row in space.matrix]
+        assert vec.decode("utf-8") == "1799 96\n" + "".join(
+            f"{token} {row}\n" for token, row in zip(space.vocab, rows))
+        assert map_text.decode("utf-8") == "1799 96 0\n" + "".join(f"{row}\n" for row in rows)
+        assert same_space(load_space(out / "s.vec"), space)
+        assert load_map(out / "m.map").matrix.tobytes() == space.matrix.tobytes()
+        assert sorted(p.name for p in out.iterdir()) == ["m.map", "s.vec", "s.vec.npz"]
+
+    def test_fork_counts(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(embeddings, "_usable_cpus", lambda: 2)
+        save_space(random_space(1, 1200, 300), tmp_path / "big.vec")
+        assert len(forks) == 1
+        save_map(LinearMap(random_space(2, 300, 300).matrix), tmp_path / "big.map")
+        assert len(forks) == 2
+        save_space(random_space(3, 1023, 64), tmp_path / "small.vec")  # 2**16 - 64 components
+        assert len(forks) == 2
+
+    def test_range_count_is_capped(self, monkeypatch):
+        monkeypatch.setattr(embeddings, "_usable_cpus", lambda: 64)
+        space = random_space(4, 1200, 300)
+        assert embeddings._row_ranges(space.matrix) == [(0, 600), (600, 1200)]
+        monkeypatch.delattr(os, "fork")
+        assert embeddings._row_ranges(space.matrix) == [(0, 1200)]
+
+    def split_space(self):
+        """1100 x 64, so two ranges on two CPUs; column 0 holds the row number from 1."""
+        matrix = np.random.default_rng(7).standard_normal((1100, 64))
+        matrix[:, 0] = np.arange(1, 1101)
+        return EmbeddingSpace([f"w\u00f6rd{i}" for i in range(1100)], matrix)
+
+    def save(self, space, path):
+        save_space(space, path)
+        return path.read_bytes(), (path.parent / (path.name + ".npz")).read_bytes()
+
+    @pytest.fixture
+    def reference(self, tmp_path, ranges):
+        """The split space's bytes saved as one range; the test then has two ranges."""
+        ranges(1)
+        expected = self.save(self.split_space(), tmp_path / "reference.vec")
+        ranges(2)
+        return expected
+
+    def failing_rows(self, monkeypatch, fails):
+        real = embeddings.format_row
+
+        def format_row(row):
+            fails(row)
+            return real(row)
+
+        monkeypatch.setattr(embeddings, "format_row", format_row)
+
+    def test_failed_fork_formats_in_process(self, tmp_path, monkeypatch, reference):
+        tried = []
+
+        def no_fork():
+            tried.append(True)
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.save(self.split_space(), tmp_path / "s.vec") == reference
+        assert tried == [True]
+
+    def test_range_failing_only_in_a_child_is_formatted_again(self, tmp_path, monkeypatch, forks,
+                                                              reference):
+        parent = os.getpid()
+
+        def fails(row):
+            if os.getpid() != parent:
+                raise OSError("only children fail")
+
+        self.failing_rows(monkeypatch, fails)
+        assert self.save(self.split_space(), tmp_path / "s.vec") == reference
+        assert len(forks) == 1
+
+    def test_failing_range_raises_its_own_error(self, tmp_path, monkeypatch, forks, reference):
+        def fails(row):
+            if row[0] == 1100.0:
+                raise PermissionError("cannot write the last row")
+
+        self.failing_rows(monkeypatch, fails)
+        with pytest.raises(PermissionError, match="cannot write the last row"):
+            save_space(self.split_space(), tmp_path / "s.vec")
+        assert len(forks) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "reference.vec", "reference.vec.npz", "s.vec"]
+
+    def test_first_range_failing_kills_and_reaps_children(self, tmp_path, monkeypatch, forks,
+                                                          reference):
+        parent = os.getpid()
+
+        def fails(row):
+            if os.getpid() != parent and row[0] == 551.0:  # the child's first row
+                time.sleep(60)  # long enough to outlast the test if it were awaited
+            elif row[0] == 1.0:
+                raise ValueError("first range fails")
+
+        self.failing_rows(monkeypatch, fails)
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="first range fails"):
+            save_space(self.split_space(), tmp_path / "s.vec")
+        assert time.perf_counter() - started < 10
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestNormalize:
