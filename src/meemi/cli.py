@@ -9,16 +9,13 @@ stdout is the same with or without it. All randomness flows from
 files.
 
 Count flags (``--limit``, ``--k``, ``--csls-k``, ``--cap``, ``--max-iter``,
-``--vocab``, ``--dim``) below 1 are usage errors.
+``--vocab``, ``--dim``) below 1, ``--tol`` at or below 0 and ``--sigma``
+below 0 or not finite (NaN included) are usage errors.
 
-``align``, ``refine`` and ``fixture`` write their output files through
-``_write_all``: where ``os.fork`` exists, every file but the first is
-written by a forked child while this process writes the first, so whole
-files, sidecars included, are formatted and written at the same time and
-the bytes stay the same. The child runs only its writer and leaves through
-``os._exit``; it is fork-safe for the reasons the ``meemi.embeddings``
-docstring gives for its row-range children. Each ``.vec`` and ``.map``
-writer also cuts its own text into row ranges (see ``meemi.embeddings``).
+``align``, ``refine`` and ``fixture`` make their ``--out`` directory only
+once their results are computed, and write the output files through
+``meemi.embeddings._run_forked``: each file but the first in a forked
+child, at the same time as the first, with the same bytes.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from .alignment import (
     align_supervised,
     induce_dictionary,
 )
-from .embeddings import load_space, save_space
+from .embeddings import _run_forked, load_space, save_space
 from .evaluation import (
     _topk,
     eval_bli,
@@ -87,45 +84,22 @@ def _parse_ks(raw: str) -> tuple[int, ...]:
     return ks
 
 
-def _write_all(*writers) -> None:
-    """Call every writer: the first here, each other one in a forked child.
+def _number_type(cast, check, wanted: str):
+    """An argparse type: the flag's text through ``cast``, which must then pass
+    ``check``; NaN fails every comparison, so a check made of them rejects it."""
+    def parse(raw: str):
+        try:
+            value = cast(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {cast.__name__}, got {raw!r}") from None
+        if not check(value):
+            raise argparse.ArgumentTypeError(f"must be {wanted}, got {raw}")
+        return value
 
-    The children are always reaped, and each writer whose child did not exit
-    0 (or could not be forked) runs again here, so a failing write raises its
-    own exception. Without ``os.fork`` the writers run here in order.
-    """
-    fork = getattr(os, "fork", None)
-    children = []
-    try:
-        for write in writers[1:] if fork else ():
-            try:
-                pid = fork()
-            except OSError:  # no process to spare: the writer runs here below
-                pid = None
-            if pid == 0:
-                status = 1
-                try:
-                    write()
-                    status = 0
-                finally:
-                    os._exit(status)
-            children.append((pid, write))
-        writers[0]()
-    finally:
-        failed = [write for pid, write in children if pid is None or os.waitpid(pid, 0)[1]]
-    for write in failed if fork else writers[1:]:
-        write()
+    return parse
 
 
-def _count(raw: str) -> int:
-    """Argparse type of every count flag: an integer of at least 1."""
-    try:
-        value = int(raw)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected an integer, got {raw!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+_count = _number_type(int, lambda v: v >= 1, "at least 1")  # every integer flag but --seed
 
 
 def _emit_report(report, args) -> None:
@@ -143,14 +117,14 @@ def cmd_align(args) -> int:
         induction_vocab_cap=args.cap,
     )
     _require_paths(args, "src", "tgt", "dict")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     src = load_space(args.src, args.limit)
     tgt = load_space(args.tgt, args.limit)
     lexicon = load_lexicon(args.dict)
     _, coverage = resolve(lexicon, src, tgt)
     pair = align_supervised(src, tgt, lexicon, config)
-    _write_all(
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _run_forked(
         lambda: save_space(pair.source, out / "source_mapped.vec"),
         lambda: save_space(pair.target, out / "target_normalized.vec"),
         lambda: save_map(pair.map, out / "alignment.map"),
@@ -162,8 +136,6 @@ def cmd_align(args) -> int:
 
 def cmd_refine(args) -> int:
     _require_paths(args, "src", "tgt", "dict", "map")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     src = load_space(args.src, args.limit)
     tgt = load_space(args.tgt, args.limit)
     alignment_map = (
@@ -174,7 +146,9 @@ def cmd_refine(args) -> int:
     model = fit_meemi(before, lexicon)
     after = apply_meemi(model, before)
     shift = similarity_shift_report(before, after, lexicon)
-    _write_all(
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    _run_forked(
         lambda: save_space(after.source, out / "source_refined.vec"),
         lambda: save_space(after.target, out / "target_refined.vec"),
         lambda: save_meemi(model, out / "meemi.model"),
@@ -263,10 +237,9 @@ def cmd_inspect(args) -> int:
 
 def cmd_fixture(args) -> int:
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     if args.kind == "rotated":
         fx = make_rotated_pair(SyntheticSpec(args.vocab, args.dim, args.sigma, args.seed))
-        _write_all(
+        writers = (
             lambda: save_space(fx.src, out / "src.vec"),
             lambda: save_space(fx.tgt, out / "tgt.vec"),
             lambda: save_lexicon(fx.gold, out / "gold.dict"),
@@ -274,19 +247,21 @@ def cmd_fixture(args) -> int:
         )
     elif args.kind == "hub":
         hub = make_hub_set(args.seed)
-        _write_all(
+        writers = (
             lambda: save_space(hub.targets, out / "targets.vec"),
             lambda: save_space(hub.queries, out / "queries.vec"),
             lambda: save_lexicon(hub.gold, out / "gold.dict"),
         )
     else:
         tax = make_taxonomy(SyntheticSpec(args.vocab, args.dim, args.sigma, args.seed))
-        _write_all(
+        writers = (
             lambda: save_space(tax.space, out / "space.vec"),
             lambda: save_hypernyms(tax.train, out / "train.tsv"),
             lambda: save_hypernyms(tax.test, out / "test.tsv"),
             lambda: save_map(tax.true_map, out / "true.map"),
         )
+    out.mkdir(parents=True, exist_ok=True)
+    _run_forked(*writers)
     print(f"fixture written to {out}")
     return 0
 
@@ -331,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dict", required=True, help="training dictionary")
     p.add_argument("--self-learning", action="store_true", dest="self_learning")
     p.add_argument("--max-iter", type=_count, default=50, dest="max_iter")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_number_type(float, lambda v: v > 0, "above 0"), default=1e-6)
     p.add_argument("--cap", type=_count, default=20000, help="induction vocabulary cap")
     p.set_defaults(func=cmd_align)
 
@@ -386,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=("rotated", "hub", "taxonomy"))
     p.add_argument("--vocab", type=_count, default=1000)
     p.add_argument("--dim", type=_count, default=50)
-    p.add_argument("--sigma", type=float, default=0.0)
+    p.add_argument("--sigma", type=_number_type(float, lambda v: 0 <= v < float("inf"),
+                                                "finite and at least 0"), default=0.0)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", required=True)
     p.add_argument("--config", default=None, help="key=value defaults file")

@@ -18,14 +18,12 @@ safe: the next load parses the text.
 the CLI) format text, one float ``repr`` per component, on several CPUs:
 the rows are cut into one contiguous range per usable CPU, at most
 ``MAX_RANGES``, each of at least ``MIN_RANGE_COMPONENTS`` components.
-This process formats the first range straight into the output file; where
-``os.fork`` exists, a forked child formats each later range into an
-unlinked temporary file in the output's directory, and this process copies
-those bytes in after it, in order, so the file is the one a single process
-writes. A range whose child did not exit 0, or could not be forked, is
-formatted here, so a failing write raises its own exception; an error here
-kills the children before reaping them. The child is safe because it only
-formats rows and writes a file, without BLAS or logging, and then leaves
+Through ``_run_forked``, the one place that forks (the CLI's per-file
+writers use it too), this process formats the first range straight into
+the output file and a forked child formats each later range into an
+unlinked temporary file, which this process copies in after the first, so
+the file is the one a single process writes. A child is safe because it
+only formats rows and writes files, without BLAS or logging, and leaves
 through ``os._exit``, so no atexit hook or stdio flush runs in it; glibc
 malloc and OpenBLAS register fork handlers, so neither is left locked in
 the child. Python 3.12 and later may emit a ``DeprecationWarning`` when
@@ -34,6 +32,8 @@ forking while OpenBLAS threads are alive; it is left visible, not silenced.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import hashlib
 import logging
 import os
@@ -90,59 +90,77 @@ def _format_rows(fh, matrix, labels, start: int, stop: int, digest=None) -> None
         fh.write(data)
 
 
-def _fork_range(directory: str, matrix, labels, start: int, stop: int):
-    """A ``(pid, file)`` pair: a forked child formats the rows into the unlinked
-    temporary file; ``pid`` is None when no child could be forked."""
-    tmp = tempfile.TemporaryFile(dir=directory)
-    try:
-        pid = os.fork()
-    except OSError:  # no process to spare: the range is formatted in-process
-        return None, tmp
-    if pid == 0:
-        status = 1
-        try:
-            _format_rows(tmp, matrix, labels, start, stop)
-            tmp.flush()  # os._exit skips buffer flushes
-            status = 0
-        finally:
-            os._exit(status)
-    return pid, tmp
+def _format_into(tmp, matrix, labels, start: int, stop: int) -> None:
+    """Format rows ``start:stop`` into ``tmp`` from its start, over whatever a
+    failed child left there."""
+    tmp.seek(0)
+    tmp.truncate()
+    _format_rows(tmp, matrix, labels, start, stop)
+    tmp.flush()  # a child leaves through os._exit, which flushes nothing
 
 
 def _write_rows(path, header: str, matrix: np.ndarray, labels: list[str] | None = None) -> bytes:
     """Write ``header`` then one line per matrix row (see the module docstring
     for the ranges) and return the SHA-256 of the bytes written."""
     ranges = _row_ranges(matrix)
+    directory = os.path.dirname(os.path.abspath(path))
     digest = hashlib.sha256()
-    later = []
+    with open(path, "wb") as fh, contextlib.ExitStack() as stack:
+        temps = [stack.enter_context(tempfile.TemporaryFile(dir=directory)) for _ in ranges[1:]]
+        data = header.encode("utf-8")
+        digest.update(data)
+        fh.write(data)
+        _run_forked(
+            functools.partial(_format_rows, fh, matrix, labels, *ranges[0], digest),
+            *(functools.partial(_format_into, tmp, matrix, labels, *bounds)
+              for tmp, bounds in zip(temps, ranges[1:])),
+        )
+        for tmp in temps:
+            tmp.seek(0)
+            while chunk := tmp.read(HASH_CHUNK_BYTES):
+                digest.update(chunk)
+                fh.write(chunk)
+    return digest.digest()
+
+
+def _forked(job) -> int | None:
+    """The pid of a forked child that calls ``job`` and exits 0 if it returns,
+    or None when no child could be forked."""
     try:
-        with open(path, "wb") as fh:
-            directory = os.path.dirname(os.path.abspath(path))
-            for start, stop in ranges[1:]:
-                later.append((*_fork_range(directory, matrix, labels, start, stop), start, stop))
-            data = header.encode("utf-8")
-            digest.update(data)
-            fh.write(data)
-            _format_rows(fh, matrix, labels, *ranges[0], digest)
-            while later:
-                pid, tmp, start, stop = later[0]
-                ok = pid is not None and os.waitpid(pid, 0)[1] == 0
-                later.pop(0)
-                with tmp:
-                    if ok:
-                        tmp.seek(0)
-                        while chunk := tmp.read(HASH_CHUNK_BYTES):
-                            digest.update(chunk)
-                            fh.write(chunk)
-                    else:
-                        _format_rows(fh, matrix, labels, start, stop, digest)
+        pid = os.fork()
+    except (AttributeError, OSError):  # no os.fork here, or no process to spare
+        return None
+    if pid == 0:
+        status = 1
+        try:
+            job()
+            status = 0
+        finally:
+            os._exit(status)
+    return pid
+
+
+def _run_forked(*jobs) -> None:
+    """Call the first job here and each other one in a forked child; then, in
+    order, call again here each job whose child did not exit 0 or could not
+    be forked (every job without ``os.fork``), so a failing job raises its own
+    exception. An error here kills and reaps the children left; a killed
+    child's own children, such as a ``save_space`` range, finish into their
+    unlinked temporary files and exit."""
+    children = [(_forked(job), job) for job in jobs[1:]]
+    try:
+        jobs[0]()
+        while children:
+            pid, job = children[0]
+            failed = pid is None or os.waitpid(pid, 0)[1]
+            children.pop(0)
+            if failed:
+                job()
     finally:
-        for pid, tmp, _, _ in later:  # only after an error: their output is not needed
-            tmp.close()
+        for pid, _ in children:  # only after an error: their output is not needed
             if pid is not None:
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return digest.digest()
 
 
 @dataclass

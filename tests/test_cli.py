@@ -12,7 +12,7 @@ import pytest
 import meemi
 from meemi import embeddings
 from meemi.alignment import align_supervised
-from meemi.cli import BOOL_KEYS, _count, _write_all, build_parser, main
+from meemi.cli import BOOL_KEYS, _count, build_parser, main
 from meemi.embeddings import EmbeddingSpace, load_space, save_space
 from meemi.lexicon import load_lexicon
 from meemi.refinement import apply_meemi, fit_meemi
@@ -533,17 +533,34 @@ class TestFixtureCommand:
         assert main(["frobnicate"]) == 2
 
 
-def test_every_integer_flag_but_seed_is_a_count():
+def parser_actions():
+    """Every argument action of every (sub)parser ``build_parser()`` makes."""
     actions, parsers = [], [build_parser()]
     while parsers:
         for action in parsers.pop()._actions:
             if isinstance(action, argparse._SubParsersAction):
                 parsers.extend(action.choices.values())
-            elif action.type in (int, _count) and "--seed" not in action.option_strings:
+            else:
                 actions.append(action)
+    return actions
+
+
+def test_every_integer_flag_but_seed_is_a_count():
+    actions = [action for action in parser_actions()
+               if action.type in (int, _count) and "--seed" not in action.option_strings]
     assert {flag for action in actions for flag in action.option_strings} == {
         "--limit", "--k", "--csls-k", "--cap", "--max-iter", "--vocab", "--dim"}
     assert all(action.type is _count for action in actions)
+
+
+def test_every_float_flag_rejects_nan():
+    actions = [action for action in parser_actions()
+               if action.type not in (None, int, _count)]
+    assert {flag for action in actions for flag in action.option_strings} == {"--tol", "--sigma"}
+    for action in actions:
+        assert isinstance(action.type(str(action.default)), float)
+        with pytest.raises(argparse.ArgumentTypeError):
+            action.type("nan")
 
 
 @pytest.mark.parametrize("argv", [
@@ -565,6 +582,47 @@ def test_count_flags_below_one_are_usage_errors(rotated_files, tmp_path, capsys,
     assert captured.out == ""
     assert ("must be at least 1" in captured.err) != argv.endswith("ten")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    "align --src {src} --tgt {tgt} --dict {dict} --tol 0 --out {out}",
+    "align --src {src} --tgt {tgt} --dict {dict} --tol nan --out {out}",
+    "align --src {src} --tgt {tgt} --dict {dict} --tol -0.5 --out {out}",
+    "fixture rotated --sigma -1 --out {out}",
+    "fixture rotated --sigma nan --out {out}",
+    "fixture rotated --sigma inf --out {out}",
+    "fixture rotated --sigma 0.1x --out {out}",
+])
+def test_bad_float_flags_are_usage_errors(rotated_files, tmp_path, capsys, argv):
+    fill = {key: str(path) for key, path in rotated_files.items()}
+    fill["out"] = str(tmp_path / "out")
+    assert main(argv.format(**fill).split()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    flag = "--tol" if "--tol" in argv else "--sigma"
+    assert f"argument {flag}: " in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+class TestFailedCommandMakesNoOutDir:
+    """A command that fails before its first write leaves no ``--out`` directory."""
+
+    @pytest.mark.parametrize("command", ["align", "refine"])
+    def test_truncated_source(self, rotated_files, tmp_path, capsys, command):
+        bad = tmp_path / "bad.vec"
+        bad.write_bytes(rotated_files["src"].read_bytes()[:-5])
+        out = tmp_path / "out"
+        argv = [command, "--src", str(bad), "--tgt", str(rotated_files["tgt"]),
+                "--dict", str(rotated_files["dict"]), "--out", str(out)]
+        assert main(argv) == 1
+        assert "truncated" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fixture_too_few_words(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["fixture", "rotated", "--vocab", "10", "--dim", "50", "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
 
 INPUT_FLAGS = {"--src", "--tgt", "--dict", "--test", "--train", "--dataset", "--map"}
@@ -660,47 +718,6 @@ class TestWriteAll:
             runs.append((stdout, tree_bytes(out)))
         assert any(name.endswith(".npz") for name in runs[0][1])
         assert runs[0] == runs[1]
-
-    def write_line(self, path, text="ok\n"):
-        return lambda: path.write_text(text)
-
-    def test_failed_fork_writes_in_process(self, tmp_path, monkeypatch):
-        def no_fork():
-            raise BlockingIOError("no process to spare")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        paths = [tmp_path / f"{i}.txt" for i in range(3)]
-        _write_all(*(self.write_line(path, f"{i}\n") for i, path in enumerate(paths)))
-        assert [path.read_text() for path in paths] == ["0\n", "1\n", "2\n"]
-
-    def test_writer_failing_only_in_a_child_is_rerun(self, tmp_path):
-        parent, path = os.getpid(), tmp_path / "child.txt"
-
-        def write():
-            if os.getpid() != parent:
-                raise OSError("only children fail")
-            path.write_text("written here\n")
-
-        _write_all(self.write_line(tmp_path / "first.txt"), write)
-        assert path.read_text() == "written here\n"
-
-    def test_failing_writer_raises_its_own_error(self, tmp_path):
-        def write():
-            raise PermissionError("cannot write the map")
-
-        with pytest.raises(PermissionError, match="cannot write the map"):
-            _write_all(self.write_line(tmp_path / "first.txt"), write)
-        assert (tmp_path / "first.txt").read_text() == "ok\n"
-
-    def test_first_writer_failing_still_reaps_children(self, tmp_path):
-        def write():
-            raise ValueError("first writer fails")
-
-        with pytest.raises(ValueError, match="first writer fails"):
-            _write_all(write, *(self.write_line(tmp_path / name) for name in ("a.txt", "b.txt")))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-        assert (tmp_path / "a.txt").read_text() == (tmp_path / "b.txt").read_text() == "ok\n"
 
 
 def test_importing_the_cli_leaves_scipy_unloaded(child_env):

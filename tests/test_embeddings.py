@@ -1,7 +1,9 @@
+import ast
 import logging
 import os
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import meemi
 from meemi import embeddings
 from meemi.embeddings import (
     EmbeddingSpace,
@@ -457,6 +460,100 @@ class TestRangeWriter:
         assert len(forks) == 1
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+class TestRunForked:
+    def write_line(self, path, text="ok\n"):
+        return lambda: path.write_text(text)
+
+    def test_failed_fork_runs_jobs_in_process(self, tmp_path, monkeypatch):
+        def no_fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        paths = [tmp_path / f"{i}.txt" for i in range(3)]
+        embeddings._run_forked(*(self.write_line(path, f"{i}\n") for i, path in enumerate(paths)))
+        assert [path.read_text() for path in paths] == ["0\n", "1\n", "2\n"]
+
+    def test_job_failing_only_in_a_child_is_rerun(self, tmp_path, forks):
+        parent, path = os.getpid(), tmp_path / "child.txt"
+
+        def write():
+            if os.getpid() != parent:
+                raise OSError("only children fail")
+            path.write_text("written here\n")
+
+        embeddings._run_forked(self.write_line(tmp_path / "first.txt"), write)
+        assert path.read_text() == "written here\n"
+        assert len(forks) == 1
+
+    def test_failing_job_raises_its_own_error(self, tmp_path):
+        def write():
+            raise PermissionError("cannot write the map")
+
+        with pytest.raises(PermissionError, match="cannot write the map"):
+            embeddings._run_forked(self.write_line(tmp_path / "first.txt"), write)
+        assert (tmp_path / "first.txt").read_text() == "ok\n"
+
+    def test_first_job_failing_kills_and_reaps_children(self, forks):
+        def fail():
+            raise ValueError("first job fails")
+
+        started = time.perf_counter()
+        with pytest.raises(ValueError, match="first job fails"):
+            embeddings._run_forked(fail, lambda: time.sleep(60), lambda: time.sleep(60))
+        assert time.perf_counter() - started < 10
+        assert len(forks) == 2
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+def is_os(node):
+    return isinstance(node, ast.Name) and node.id == "os"
+
+
+class ForkPoints(ast.NodeVisitor):
+    """The function around each ``os.fork``/``os._exit`` reference, each
+    ``getattr(os, "fork")``/``getattr(os, "_exit")`` call and each import of
+    either name from ``os`` in a module."""
+
+    NAMES = ("fork", "_exit")
+
+    def __init__(self, module):
+        self.scope, self.found = [module], []
+
+    def visit_FunctionDef(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+
+    def visit_Attribute(self, node):
+        if is_os(node.value) and node.attr in self.NAMES:
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+    def visit_ImportFrom(self, node):
+        if node.module == "os" and any(alias.name in self.NAMES for alias in node.names):
+            self.found.append(".".join(self.scope))
+
+    def visit_Call(self, node):
+        args = node.args
+        if (isinstance(node.func, ast.Name) and node.func.id == "getattr" and len(args) > 1
+                and is_os(args[0]) and getattr(args[1], "value", None) in self.NAMES):
+            self.found.append(".".join(self.scope))
+        self.generic_visit(node)
+
+
+def test_one_function_forks():
+    """Only ``embeddings._forked``, behind ``_run_forked``, forks or leaves through
+    ``os._exit``; ``hasattr(os, "fork")`` may still ask whether forking exists."""
+    found = []
+    for path in sorted(Path(meemi.__file__).parent.glob("*.py")):
+        visitor = ForkPoints(path.stem)
+        visitor.visit(ast.parse(path.read_text(encoding="utf-8")))
+        found += visitor.found
+    assert set(found) == {"embeddings._forked"}
+    assert len(found) == 2  # one os.fork and one os._exit
 
 
 class TestNormalize:
