@@ -12,7 +12,6 @@ from .alignment import (
 from .embeddings import (
     EmbeddingSpace,
     load_space,
-    mean_center,
     normalize_unit,
     save_space,
 )

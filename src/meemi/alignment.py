@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, mean_center, normalize_unit, unit_rows
+from .embeddings import EmbeddingSpace, unit_rows
 from .lexicon import BilingualLexicon, resolve_rows
 from .retrieval import CHUNK_ROWS, _score_reduce
 from .solvers import LinearMap, apply_map, fit_procrustes
@@ -77,7 +77,11 @@ class AlignedPair:
 
 def apply_normalization(space: EmbeddingSpace) -> EmbeddingSpace:
     """Unit-normalize, mean-centre, then unit-normalize again."""
-    return normalize_unit(mean_center(normalize_unit(space)))
+    if len(space) == 0:
+        raise ValueError("cannot center an empty space")
+    matrix = unit_rows(space.matrix, vocab=space.vocab)
+    matrix -= matrix.mean(axis=0)
+    return space.with_matrix(unit_rows(matrix, vocab=space.vocab))
 
 
 def pair_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:

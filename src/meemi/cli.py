@@ -47,7 +47,7 @@ from .lexicon import (
     load_hypernyms,
     load_lexicon,
     load_similarity,
-    resolve,
+    resolve_rows,
     save_hypernyms,
     save_lexicon,
 )
@@ -120,7 +120,7 @@ def cmd_align(args) -> int:
     src = load_space(args.src, args.limit)
     tgt = load_space(args.tgt, args.limit)
     lexicon = load_lexicon(args.dict)
-    _, coverage = resolve(lexicon, src, tgt)
+    _, _, kept = resolve_rows(lexicon, src, tgt)
     pair = align_supervised(src, tgt, lexicon, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -129,7 +129,7 @@ def cmd_align(args) -> int:
         lambda: save_space(pair.target, out / "target_normalized.vec"),
         lambda: save_map(pair.map, out / "alignment.map"),
     )
-    print(f"coverage {coverage:.4f}")
+    print(f"coverage {kept.mean():.4f}")
     print(f"iterations {pair.iterations_run}")
     return 0
 

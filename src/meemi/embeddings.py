@@ -1,9 +1,10 @@
 """Word-embedding spaces stored in the word2vec text format.
 
 All vector arithmetic runs in 64-bit floats regardless of how many digits
-the input file carried. Spaces are immutable after construction: every
-transformation returns a fresh space, and the underlying matrix is marked
-read-only, so instances are safe to share across threads.
+the input file carried. Spaces are immutable after construction, with a
+read-only matrix, so they are safe to share across threads. A space's
+vocabulary is checked once; a transformed space (``EmbeddingSpace.with_matrix``)
+gets a fresh checked matrix and shares its parent's ``vocab`` list and index.
 
 The text file is the single source of truth. ``save_space`` also writes a
 binary sidecar ``<path>.npz`` (uncompressed, about 8 bytes per component)
@@ -33,6 +34,7 @@ forking while OpenBLAS threads are alive; it is left visible, not silenced.
 from __future__ import annotations
 
 import contextlib
+import copy
 import functools
 import hashlib
 import logging
@@ -163,6 +165,19 @@ def _run_forked(*jobs) -> None:
                 os.waitpid(pid, 0)
 
 
+def _checked_matrix(matrix, rows: int) -> np.ndarray:
+    """``matrix`` as read-only contiguous float64, checked: 2-D, ``rows`` rows, finite."""
+    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
+    if matrix.ndim != 2:
+        raise ValueError(f"matrix must be 2-dimensional, got shape {matrix.shape}")
+    if matrix.shape[0] != rows:
+        raise ValueError(f"matrix has {matrix.shape[0]} rows but vocab has {rows} tokens")
+    if matrix.size and not np.isfinite(matrix).all():
+        raise ValueError("matrix contains non-finite components")
+    matrix.setflags(write=False)
+    return matrix
+
+
 @dataclass
 class EmbeddingSpace:
     """An ordered vocabulary plus a row-major matrix of word vectors.
@@ -176,23 +191,21 @@ class EmbeddingSpace:
 
     def __post_init__(self):
         self.vocab = list(self.vocab)
-        matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError(f"matrix must be 2-dimensional, got shape {matrix.shape}")
-        if matrix.shape[0] != len(self.vocab):
-            raise ValueError(
-                f"matrix has {matrix.shape[0]} rows but vocab has {len(self.vocab)} tokens"
-            )
-        if matrix.size and not np.isfinite(matrix).all():
-            raise ValueError("matrix contains non-finite components")
-        # str.split() splits on exactly the characters str.isspace() accepts,
-        # so a token is nonempty and whitespace-free iff it splits to itself.
-        index = dict(zip(self.vocab, range(len(self.vocab))))
-        if len(index) != len(self.vocab) or not all(t.split() == [t] for t in self.vocab):
-            _reject_vocab(self.vocab)
-        matrix.setflags(write=False)
-        self.matrix = matrix
+        self.matrix = _checked_matrix(self.matrix, len(self.vocab))
+        index: dict[str, int] = {}
+        for i, token in enumerate(self.vocab):
+            # str.split() splits on exactly the characters str.isspace() accepts
+            if token.split() != [token]:
+                raise ValueError(f"token {token!r} is empty or contains whitespace")
+            if index.setdefault(token, i) != i:
+                raise ValueError(f"duplicate token {token!r}")
         self._index = index
+
+    def with_matrix(self, matrix) -> EmbeddingSpace:
+        """A space of ``matrix``'s rows sharing this one's checked vocab and index."""
+        space = copy.copy(self)
+        space.matrix = _checked_matrix(matrix, len(self.vocab))
+        return space
 
     @property
     def dim(self) -> int:
@@ -219,34 +232,19 @@ class EmbeddingSpace:
         )
 
 
-def _reject_vocab(vocab: list[str]) -> None:
-    """Raise for the first empty, whitespace-holding or repeated token."""
-    seen: set[str] = set()
-    for token in vocab:
-        if not token or any(ch.isspace() for ch in token):
-            raise ValueError(f"token {token!r} is empty or contains whitespace")
-        if token in seen:
-            raise ValueError(f"duplicate token {token!r}")
-        seen.add(token)
-
-
-def _looks_like_header(parts: list[str]) -> bool:
-    return len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts)
-
-
-def _parse_row(parts: list[str], dim: int | None, line_no: int, path) -> tuple[str, list[float]]:
+def _parse_row(parts: list[str], dim: int | None, line_no: int, path) -> tuple[str, np.ndarray]:
     token = parts[0]
     if dim is not None and len(parts) - 1 != dim:
         raise ValueError(
             f"{path}:{line_no}: expected {dim} components for {token!r}, found {len(parts) - 1}"
         )
     try:
-        comps = [float(p) for p in parts[1:]]
+        comps = np.array(list(map(float, parts[1:])), dtype=np.float64)
     except ValueError:
         raise ValueError(f"{path}:{line_no}: unparseable vector component") from None
-    if not all(np.isfinite(comps)):
+    if not np.isfinite(comps).all():
         raise ValueError(f"{path}:{line_no}: non-finite component for token {token!r}")
-    if not any(comps):
+    if not comps.any():
         raise ValueError(f"{path}:{line_no}: all-zero vector for token {token!r}")
     return token, comps
 
@@ -303,11 +301,11 @@ def _load_sidecar(path, limit: int | None) -> EmbeddingSpace | None:
             if npz["sha256"].tobytes() != _file_sha256(path):
                 log.debug("%s: sidecar is stale", path)
                 return None
-            vocab = npz["vocab"].tobytes().decode("utf-8").split("\n")
+            # only the kept tokens become strings
+            vocab = npz["vocab"].tobytes().decode("utf-8").split("\n", limit or -1)[:limit]
             matrix = _read_matrix(npz, limit)
         if matrix is None:
             return None
-        vocab = vocab[:limit]
         # Zero rows (and, through EmbeddingSpace, non-finite ones) go back to
         # the text parse for its line-numbered error.
         if not (matrix != 0.0).any(axis=1).all():
@@ -336,7 +334,7 @@ def load_space(path, limit: int | None = None) -> EmbeddingSpace:
         return space
     log.debug("%s: parsing text", path)
     vocab: list[str] = []
-    rows: list[list[float]] = []
+    rows: list[np.ndarray] = []
     seen: set[str] = set()
     duplicates = 0
     count: int | None = None
@@ -348,7 +346,7 @@ def load_space(path, limit: int | None = None) -> EmbeddingSpace:
             parts = raw.split()
             if not parts:
                 continue
-            if line_no == 1 and _looks_like_header(parts):
+            if line_no == 1 and len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
                 count, dim = int(parts[0]), int(parts[1])
                 continue
             token, comps = _parse_row(parts, dim, line_no, path)
@@ -403,11 +401,4 @@ def unit_rows(matrix: np.ndarray, what: str = "row", vocab: list[str] | None = N
 
 def normalize_unit(space: EmbeddingSpace) -> EmbeddingSpace:
     """Scale every row to Euclidean norm 1. Idempotent; zero rows are an error."""
-    return EmbeddingSpace(space.vocab, unit_rows(space.matrix, vocab=space.vocab))
-
-
-def mean_center(space: EmbeddingSpace) -> EmbeddingSpace:
-    """Subtract the column means so every column averages to zero."""
-    if len(space) == 0:
-        raise ValueError("cannot center an empty space")
-    return EmbeddingSpace(space.vocab, space.matrix - space.matrix.mean(axis=0))
+    return space.with_matrix(unit_rows(space.matrix, vocab=space.vocab))

@@ -145,11 +145,7 @@ def resolve_rows(
 def resolve(
     lexicon: BilingualLexicon, src_space: EmbeddingSpace, tgt_space: EmbeddingSpace
 ) -> tuple[BilingualLexicon, float]:
-    """Keep pairs whose two tokens both resolve; return them with coverage.
-
-    Coverage is kept/total. Zero kept pairs is an error because nothing
-    can be fitted from an empty lexicon.
-    """
+    """The pairs whose two tokens both resolve, and their share (kept/total)."""
     _, _, kept = resolve_rows(lexicon, src_space, tgt_space)
     pairs = list(compress(lexicon.pairs, kept))
     return BilingualLexicon(pairs), len(pairs) / len(lexicon.pairs)

@@ -97,7 +97,7 @@ def apply_map(linear_map: LinearMap, space: EmbeddingSpace) -> EmbeddingSpace:
         raise ValueError(
             f"map expects input dimension {linear_map.d_in}, space has {space.dim}"
         )
-    return EmbeddingSpace(space.vocab, space.matrix @ linear_map.matrix)
+    return space.with_matrix(space.matrix @ linear_map.matrix)
 
 
 def save_map(linear_map: LinearMap, path) -> None:
@@ -114,6 +114,8 @@ def load_map(path) -> LinearMap:
         d_in, d_out, flag = (int(p) for p in header)
         if flag not in (0, 1):
             raise ValueError(f"{path}:1: orthogonal flag must be 0 or 1, got {flag}")
+        if not d_in or not d_out:
+            raise ValueError(f"{path}:1: map dimensions must be positive, got {d_in}x{d_out}")
         rows = []
         for line_no, raw in enumerate(fh, start=2):
             parts = raw.split()
@@ -122,10 +124,16 @@ def load_map(path) -> LinearMap:
             if len(parts) != d_out:
                 raise ValueError(f"{path}:{line_no}: expected {d_out} entries, found {len(parts)}")
             try:
-                rows.append([float(p) for p in parts])
+                row = np.array(list(map(float, parts)), dtype=np.float64)
             except ValueError:
                 raise ValueError(f"{path}:{line_no}: unparseable matrix entry") from None
             _require_line_end(raw, path, line_no)
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}:{line_no}: map matrix contains non-finite entries")
+            rows.append(row)
     if len(rows) != d_in:
         raise ValueError(f"{path}: expected {d_in} matrix rows, found {len(rows)}")
-    return LinearMap(np.array(rows, dtype=np.float64), orthogonal=bool(flag))
+    try:
+        return LinearMap(np.array(rows), orthogonal=bool(flag))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -103,6 +103,50 @@ class TestAlignSupervised:
         assert np.abs(cosines(pair.source.matrix) - cosines(normalized.matrix)).max() <= 1e-9
 
 
+def three_numpy_steps(matrix):
+    """Unit rows, subtract the column means, unit rows: the reference the
+    library's one-buffer normalization must equal bit for bit."""
+    unit = matrix / np.linalg.norm(matrix, axis=1)[:, None]
+    centred = unit - unit.mean(axis=0)
+    return centred / np.linalg.norm(centred, axis=1)[:, None]
+
+
+class TestApplyNormalization:
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=25)
+    def test_equals_three_numpy_steps(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 40)), int(rng.integers(1, 12))
+        space = EmbeddingSpace([f"w{i}" for i in range(n)], rng.standard_normal((n, d)))
+        normalized = apply_normalization(space)
+        assert normalized.matrix.tobytes() == three_numpy_steps(space.matrix).tobytes()
+        assert normalized.vocab is space.vocab and normalized._index is space._index
+        assert not normalized.matrix.flags.writeable
+
+    def test_example(self):
+        space = EmbeddingSpace(["a", "b"], np.array([[2.0, 0.0], [0.0, 3.0]]))
+        half = 0.5 ** 0.5
+        assert np.allclose(apply_normalization(space).matrix, [[half, -half], [-half, half]])
+
+    def test_single_row_becomes_zero(self):
+        with pytest.raises(ValueError, match="cannot unit-normalize zero row vector of token 'a'"):
+            apply_normalization(EmbeddingSpace(["a"], np.array([[2.0, 5.0]])))
+
+    def test_empty_space_errors(self):
+        with pytest.raises(ValueError, match="cannot center an empty space"):
+            apply_normalization(EmbeddingSpace([], np.zeros((0, 3))))
+
+    @given(st.integers(0, 10_000))
+    @settings(max_examples=25)
+    def test_unit_center_unit_bound(self, seed):
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(2, 30)), int(rng.integers(2, 12))
+        normalized = apply_normalization(
+            EmbeddingSpace([f"w{i}" for i in range(n)], rng.standard_normal((n, d))))
+        assert np.abs(np.linalg.norm(normalized.matrix, axis=1) - 1).max() <= 1e-9
+        assert np.abs(normalized.matrix.mean(axis=0)).max() <= normalized.dim ** -0.5
+
+
 class TestInduce:
     def aligned_fixture(self, seed=4, vocab=60, dim=8):
         fx = make_rotated_pair(SyntheticSpec(vocab, dim, noise_sigma=0.0, seed=seed))

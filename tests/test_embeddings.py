@@ -17,7 +17,6 @@ from meemi.embeddings import (
     EmbeddingSpace,
     format_row,
     load_space,
-    mean_center,
     normalize_unit,
     save_space,
 )
@@ -167,6 +166,20 @@ class TestLoad:
             load_space(write(tmp_path, "3 2\n"))
         with pytest.raises(ValueError, match="no vectors"):
             load_space(write(tmp_path, "0 2\n"))
+
+    def test_text_parse_peak_memory(self, tmp_path):
+        """Parsed rows are held as float64 arrays, not lists of Python floats."""
+        space = random_space(13, 1000, 300)
+        lines = [f"{t} {format_row(row)}\n" for t, row in zip(space.vocab, space.matrix)]
+        path = write(tmp_path, "1000 300\n" + "".join(lines))
+        tracemalloc.start()
+        try:
+            loaded = load_space(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert same_space(loaded, space)
+        assert peak < 3 * space.matrix.nbytes
 
     def test_crlf_line_endings(self, tmp_path):
         space = random_space(7)
@@ -576,35 +589,6 @@ class TestNormalize:
         assert np.abs(norms - 1).max() <= 1e-9
 
 
-class TestCenter:
-    def test_example(self):
-        space = EmbeddingSpace(["a", "b"], np.array([[1.0, 0.0], [3.0, 0.0]]))
-        assert np.array_equal(mean_center(space).matrix, [[-1, 0], [1, 0]])
-
-    def test_single_row_becomes_zero(self):
-        centered = mean_center(EmbeddingSpace(["a"], np.array([[2.0, 5.0]])))
-        assert np.array_equal(centered.matrix, [[0.0, 0.0]])
-        with pytest.raises(ValueError):
-            normalize_unit(centered)
-
-    def test_idempotent(self):
-        once = mean_center(random_space(3))
-        twice = mean_center(once)
-        assert np.abs(twice.matrix - once.matrix).max() <= 1e-12
-
-    def test_column_means_zero(self):
-        centered = mean_center(random_space(4))
-        assert np.abs(centered.matrix.mean(axis=0)).max() <= 1e-9
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=25)
-    def test_unit_center_unit_bound(self, seed):
-        space = random_space(seed)
-        piped = normalize_unit(mean_center(normalize_unit(space)))
-        assert np.abs(np.linalg.norm(piped.matrix, axis=1) - 1).max() <= 1e-9
-        assert np.abs(piped.matrix.mean(axis=0)).max() <= piped.dim ** -0.5
-
-
 class TestLookup:
     def test_exact(self):
         space = EmbeddingSpace(["cat", "dog"], np.array([[1.0, 0.0], [0.0, 1.0]]))
@@ -656,6 +640,32 @@ class TestInvariants:
         space = random_space(5)
         with pytest.raises(ValueError):
             space.matrix[0, 0] = 7.0
+
+
+class TestWithMatrix:
+    def test_shares_the_checked_vocabulary(self):
+        space = random_space(6)
+        before = space.matrix.copy()
+        derived = space.with_matrix(2 * space.matrix)
+        assert derived.vocab is space.vocab and derived._index is space._index
+        assert np.array_equal(derived.matrix, 2 * before)
+        assert not derived.matrix.flags.writeable
+        assert np.array_equal(space.matrix, before)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_rejected(self, bad):
+        space = random_space(7, 3, 2)
+        matrix = space.matrix.copy()
+        matrix[1, 0] = bad
+        with pytest.raises(ValueError, match="matrix contains non-finite components"):
+            space.with_matrix(matrix)
+
+    def test_mis_shaped_rejected(self):
+        space = random_space(8, 3, 2)
+        with pytest.raises(ValueError, match="matrix has 2 rows but vocab has 3 tokens"):
+            space.with_matrix(np.ones((2, 2)))
+        with pytest.raises(ValueError, match=r"2-dimensional, got shape \(6,\)"):
+            space.with_matrix(np.ones(6))
 
 
 def reference_vocab_error(vocab):

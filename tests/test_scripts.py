@@ -1,6 +1,10 @@
+import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import meemi
 
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
@@ -19,3 +23,19 @@ def test_synthetic_benchmark_smoke(child_env):
     for row in rows:
         base_cos, ref_cos = row.split(" | ")[3].split(" -> ")
         assert -1.0 <= float(base_cos) <= 1.0 and -1.0 <= float(ref_cos) <= 1.0
+
+
+def test_same_outputs_smoke(tmp_path):
+    """The byte-identity check's command list runs at tiny sizes on the tree
+    under test, and its runs with and without ``os.fork`` agree."""
+    spec = importlib.util.spec_from_file_location("same_outputs", SCRIPTS / "same_outputs.py")
+    same_outputs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(same_outputs)
+    tree = Path(meemi.__file__).resolve().parent.parent.parent
+    record = same_outputs.run_tree(tree, tmp_path / "work", tiny=True)
+    fork, nofork = record["fork"], record["nofork"]
+    assert same_outputs.differences(fork, nofork, "fork->nofork") == []
+    exits = [run["exit"] for run in fork["commands"]]
+    assert exits == [0] * (len(exits) - 2) + [1, 1]  # the dictionary that resolves nothing
+    assert sum(name.endswith(".npz") for name in fork["files"]) >= 10
+    assert (fork["forks"] > 0) == hasattr(os, "fork") and nofork["forks"] == 0

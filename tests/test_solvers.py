@@ -159,6 +159,11 @@ class TestApplyMap:
         after = np.linalg.norm(mapped.matrix, axis=1)
         assert np.abs(after - before).max() <= 1e-9
 
+    def test_shares_the_checked_vocabulary(self):
+        space = self.space()
+        mapped = apply_map(LinearMap(np.eye(6) * 2.0), space)
+        assert mapped.vocab is space.vocab and mapped._index is space._index
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             apply_map(LinearMap(np.zeros((4, 4))), self.space())
@@ -273,6 +278,29 @@ class TestSerialization:
             load_map(path)
         path.write_text("2 2 0\n1 2\n3 4e")
         with pytest.raises(ValueError, match=r"m\.map:3: unparseable matrix entry"):
+            load_map(path)
+
+    @pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+    def test_non_finite_entry_names_line(self, tmp_path, entry):
+        path = tmp_path / "m.map"
+        path.write_text(f"2 2 0\n1 2\n3 {entry}\n")
+        with pytest.raises(ValueError, match=r"m\.map:3: map matrix contains non-finite entries"):
+            load_map(path)
+
+    @pytest.mark.parametrize("header", ["0 0 0", "0 3 0", "3 0 0", "0 0 1"])
+    def test_empty_dimension_rejected_at_header(self, tmp_path, header):
+        path = tmp_path / "m.map"
+        path.write_text(header + "\n")
+        with pytest.raises(ValueError, match=r"m\.map:1: map dimensions must be positive"):
+            load_map(path)
+
+    def test_non_orthogonal_matrix_under_flag_names_file(self, tmp_path):
+        path = tmp_path / "m.map"
+        path.write_text("2 2 1\n1 0\n0 2\n")
+        with pytest.raises(ValueError, match=r"m\.map: matrix is not orthogonal"):
+            load_map(path)
+        path.write_text("2 3 1\n1 0 0\n0 1 0\n")
+        with pytest.raises(ValueError, match=r"m\.map: orthogonal map must be square"):
             load_map(path)
 
     def test_wrong_row_arity(self, tmp_path):
