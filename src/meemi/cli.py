@@ -59,12 +59,18 @@ class UsageError(Exception):
     """Bad arguments or missing input files; maps to exit code 2."""
 
 
-def _require_paths(args, *flags: str) -> None:
-    """Raise UsageError for the first given ``--flag`` path that does not exist."""
-    for flag in flags:
-        path = getattr(args, flag)
+def _require_paths(args) -> None:
+    """Raise UsageError for the first input path flag given that does not exist."""
+    for flag in ("src", "tgt", "dict", "map", "test", "train", "dataset"):
+        path = getattr(args, flag, None)
         if path is not None and not os.path.exists(path):
             raise UsageError(f"--{flag} path does not exist: {path}")
+
+
+def _write(out: Path, *writers) -> None:
+    """Make the ``--out`` directory, then call the writers through ``_run_forked``."""
+    out.mkdir(parents=True, exist_ok=True)
+    _run_forked(*writers)
 
 
 def _identity_pair(src, tgt, limit=None) -> AlignedPair:
@@ -116,15 +122,14 @@ def cmd_align(args) -> int:
         convergence_tol=args.tol,
         induction_vocab_cap=args.cap,
     )
-    _require_paths(args, "src", "tgt", "dict")
     src = load_space(args.src, args.limit)
     tgt = load_space(args.tgt, args.limit)
     lexicon = load_lexicon(args.dict)
     _, _, kept = resolve_rows(lexicon, src, tgt)
     pair = align_supervised(src, tgt, lexicon, config)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _run_forked(
+    _write(
+        out,
         lambda: save_space(pair.source, out / "source_mapped.vec"),
         lambda: save_space(pair.target, out / "target_normalized.vec"),
         lambda: save_map(pair.map, out / "alignment.map"),
@@ -135,7 +140,6 @@ def cmd_align(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    _require_paths(args, "src", "tgt", "dict", "map")
     src = load_space(args.src, args.limit)
     tgt = load_space(args.tgt, args.limit)
     alignment_map = (
@@ -147,8 +151,8 @@ def cmd_refine(args) -> int:
     after = apply_meemi(model, before)
     shift = similarity_shift_report(before, after, lexicon)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _run_forked(
+    _write(
+        out,
         lambda: save_space(after.source, out / "source_refined.vec"),
         lambda: save_space(after.target, out / "target_refined.vec"),
         lambda: save_meemi(model, out / "meemi.model"),
@@ -161,7 +165,6 @@ def cmd_refine(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    _require_paths(args, "src", "tgt")
     pair = _identity_pair(args.src, args.tgt, args.limit)
     induced = induce_dictionary(pair, args.cap)
     save_lexicon(induced, args.out)
@@ -170,7 +173,6 @@ def cmd_induce(args) -> int:
 
 
 def cmd_eval_bli(args) -> int:
-    _require_paths(args, "src", "tgt", "test")
     pair = _identity_pair(args.src, args.tgt, args.limit)
     report = eval_bli(
         pair,
@@ -185,7 +187,6 @@ def cmd_eval_bli(args) -> int:
 
 
 def cmd_eval_sim(args) -> int:
-    _require_paths(args, "src", "tgt", "dataset")
     if args.cross != bool(args.tgt):
         raise UsageError("--cross requires --tgt" if args.cross else "--tgt requires --cross")
     space_a = load_space(args.src, args.limit)
@@ -198,7 +199,6 @@ def cmd_eval_sim(args) -> int:
 
 
 def cmd_eval_hyper(args) -> int:
-    _require_paths(args, "src", "tgt", "test", "train")
     if args.tgt:
         space = _identity_pair(args.src, args.tgt, args.limit)
     else:
@@ -218,7 +218,6 @@ def cmd_eval_hyper(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    _require_paths(args, "src", "tgt")
     src = load_space(args.src, args.limit)
     row = src.index_of(args.word)
     if row is None:
@@ -260,8 +259,7 @@ def cmd_fixture(args) -> int:
             lambda: save_hypernyms(tax.test, out / "test.tsv"),
             lambda: save_map(tax.true_map, out / "true.map"),
         )
-    out.mkdir(parents=True, exist_ok=True)
-    _run_forked(*writers)
+    _write(out, *writers)
     print(f"fixture written to {out}")
     return 0
 
@@ -299,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Align two embedding spaces, then pull translations toward their midpoint.",
         allow_abbrev=False,
     )
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("align", help="supervised orthogonal alignment", allow_abbrev=False)
     _add_common(p, with_out=True)
@@ -324,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_induce)
 
     ev = sub.add_parser("eval", help="evaluation tasks", allow_abbrev=False)
-    ev_sub = ev.add_subparsers(dest="task")
+    ev_sub = ev.add_subparsers(dest="task", required=True)
 
     p = ev_sub.add_parser("bli", help="bilingual dictionary induction P@k", allow_abbrev=False)
     _add_common(p)
@@ -434,9 +432,6 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
-    if getattr(args, "func", None) is None:
-        parser.print_usage(sys.stderr)
-        return 2
     logger = logging.getLogger("meemi")
     handler, level = logging.StreamHandler(sys.stderr), logger.level
     if args.verbose:
@@ -444,6 +439,7 @@ def main(argv: list[str] | None = None) -> int:
         logger.addHandler(handler)
         logger.setLevel(logging.DEBUG)
     try:
+        _require_paths(args)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -165,12 +165,12 @@ def _run_forked(*jobs) -> None:
                 os.waitpid(pid, 0)
 
 
-def _checked_matrix(matrix, rows: int) -> np.ndarray:
-    """``matrix`` as read-only contiguous float64, checked: 2-D, ``rows`` rows, finite."""
+def _checked_matrix(matrix, rows: int | None = None) -> np.ndarray:
+    """``matrix`` as read-only contiguous float64, checked: 2-D, ``rows`` rows if given, finite."""
     matrix = np.ascontiguousarray(matrix, dtype=np.float64)
     if matrix.ndim != 2:
         raise ValueError(f"matrix must be 2-dimensional, got shape {matrix.shape}")
-    if matrix.shape[0] != rows:
+    if rows is not None and matrix.shape[0] != rows:
         raise ValueError(f"matrix has {matrix.shape[0]} rows but vocab has {rows} tokens")
     if matrix.size and not np.isfinite(matrix).all():
         raise ValueError("matrix contains non-finite components")
@@ -333,9 +333,7 @@ def load_space(path, limit: int | None = None) -> EmbeddingSpace:
         log.debug("%s: loaded from its sidecar", path)
         return space
     log.debug("%s: parsing text", path)
-    vocab: list[str] = []
-    rows: list[np.ndarray] = []
-    seen: set[str] = set()
+    rows: dict[str, np.ndarray] = {}
     duplicates = 0
     count: int | None = None
     dim: int | None = None
@@ -353,23 +351,21 @@ def load_space(path, limit: int | None = None) -> EmbeddingSpace:
             _require_line_end(raw, path, line_no)
             if dim is None:
                 dim = len(comps)
-            if token in seen:
+            if token in rows:
                 duplicates += 1
                 continue
-            seen.add(token)
-            vocab.append(token)
-            rows.append(comps)
-            if limit is not None and len(vocab) >= limit:
+            rows[token] = comps
+            if limit is not None and len(rows) >= limit:
                 break
-    if limit is None and count is not None and len(vocab) + duplicates != count:
+    if limit is None and count is not None and len(rows) + duplicates != count:
         raise ValueError(
-            f"{path}:{line_no}: header declares {count} rows, found {len(vocab) + duplicates}"
+            f"{path}:{line_no}: header declares {count} rows, found {len(rows) + duplicates}"
         )
-    if not vocab:
+    if not rows:
         raise ValueError(f"{path}: no vectors found")
     if duplicates:
         log.warning("%s: skipped %d duplicate tokens (kept first occurrence)", path, duplicates)
-    return EmbeddingSpace(vocab, np.array(rows, dtype=np.float64))
+    return EmbeddingSpace(list(rows), np.array(list(rows.values()), dtype=np.float64))
 
 
 def save_space(space: EmbeddingSpace, path) -> None:

@@ -65,11 +65,6 @@ class EvalReport:
         return "\n".join(lines)
 
 
-def _check_retrieval(retrieval: str) -> None:
-    if retrieval not in RETRIEVAL_MODES:
-        raise ValueError(f"unknown retrieval mode {retrieval!r}; use 'cosine' or 'csls'")
-
-
 def _topk(
     queries: np.ndarray,
     candidates: EmbeddingSpace,
@@ -82,6 +77,8 @@ def _topk(
     CSLS densities are taken against ``density_space`` when given."""
     if retrieval == "cosine":
         return batch_cosine_topk(candidates, queries, k)
+    if retrieval != "csls":
+        raise ValueError(f"unknown retrieval mode {retrieval!r}; use 'cosine' or 'csls'")
     index = build_index(candidates, csls_k, source_space=density_space)
     return batch_csls_topk(index, queries, k)
 
@@ -108,7 +105,6 @@ def eval_bli(
     top-k retrieved tokens. Queries whose source token or entire gold set
     is out of vocabulary are skipped and counted in the totals.
     """
-    _check_retrieval(retrieval)
     if not ks or min(ks) < 1:
         raise ValueError("ks must be positive ranks")
     query_of = {s: q for q, s in enumerate(dict.fromkeys(s for s, _ in test_lexicon.pairs))}
@@ -238,7 +234,6 @@ def eval_hypernyms(
     normalized by min(|gold|, k), and P@5 counts gold hits in the top 5
     against min(|gold|, 5).
     """
-    _check_retrieval(retrieval)
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     candidates = space.target if isinstance(space, AlignedPair) else space

@@ -71,18 +71,13 @@ def _hypernym_fields(line: str) -> list[str]:
 
 def load_lexicon(path) -> BilingualLexicon:
     """Read a two-column dictionary; exact-duplicate pairs are dropped."""
-    pairs: list[tuple[str, str]] = []
-    seen: set[tuple[str, str]] = set()
+    pairs: dict[tuple[str, str], None] = {}
     for line_no, line in _content_lines(path):
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"{path}:{line_no}: expected 'source target', got {len(fields)} fields")
-        pair = (fields[0], fields[1])
-        if pair in seen:
-            continue
-        seen.add(pair)
-        pairs.append(pair)
-    return BilingualLexicon(pairs)
+        pairs[fields[0], fields[1]] = None
+    return BilingualLexicon(list(pairs))
 
 
 def save_lexicon(lexicon: BilingualLexicon, path) -> None:
@@ -174,19 +169,12 @@ def load_hypernyms(path) -> HypernymDataset:
     Repeated queries (the two-column one-pair-per-line layout) are grouped
     into a single entry; gold lists keep first-seen order without duplicates.
     """
-    order: list[str] = []
-    golds: dict[str, list[str]] = {}
+    golds: dict[str, dict[str, None]] = {}
     for line_no, line in _content_lines(path):
         fields = _hypernym_fields(line)
         if len(fields) < 2:
             raise ValueError(f"{path}:{line_no}: expected 'query<TAB>hypernym...', got 1 field")
-        query, hypernyms = fields[0], fields[1:]
-        if query not in golds:
-            golds[query] = []
-            order.append(query)
-        for h in hypernyms:
-            if h not in golds[query]:
-                golds[query].append(h)
-    if not order:
+        golds.setdefault(fields[0], {}).update(dict.fromkeys(fields[1:]))
+    if not golds:
         raise ValueError(f"{path}: no hypernym entries")
-    return HypernymDataset([(q, golds[q]) for q in order])
+    return HypernymDataset([(query, list(hypernyms)) for query, hypernyms in golds.items()])

@@ -124,24 +124,32 @@ def build_index(
     return RetrievalIndex(unit, csls_k, density)
 
 
+def _search(queries, target_rows: np.ndarray, k: int, score=None) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k of every query row against unit ``target_rows`` by cosine, or by
+    ``score(cos)`` of each chunk's cosine block; returns (indexes, scores)."""
+    if k < 1:
+        raise ValueError(f"k must be positive, got {k}")
+    k = min(k, len(target_rows))
+    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
+    q_dim, t_dim = queries.shape[1], target_rows.shape[1]
+    if q_dim != t_dim:
+        raise ValueError(f"query dimension {q_dim} != target dimension {t_dim}")
+    idx = np.empty((queries.shape[0], k), dtype=np.intp)
+    top = np.empty((queries.shape[0], k), dtype=np.float64)
+    def reduce(start, stop, sims):
+        if score is not None:
+            sims = score(sims)
+        idx[start:stop] = _stable_topk(sims, k)
+        top[start:stop] = np.take_along_axis(sims, idx[start:stop], axis=1)
+    _score_reduce(unit_rows(queries, "query"), target_rows.T, reduce)
+    return idx, top
+
+
 def batch_cosine_topk(
     space: EmbeddingSpace, queries: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-k cosine neighbors for every query row; returns (indexes, scores)."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    k = min(k, len(space))
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if queries.shape[1] != space.dim:
-        raise ValueError(f"query dimension {queries.shape[1]} != space dimension {space.dim}")
-    target = unit_rows(space.matrix, "target", space.vocab)
-    idx = np.empty((queries.shape[0], k), dtype=np.intp)
-    top = np.empty((queries.shape[0], k), dtype=np.float64)
-    def reduce(start, stop, sims):
-        idx[start:stop] = _stable_topk(sims, k)
-        top[start:stop] = np.take_along_axis(sims, idx[start:stop], axis=1)
-    _score_reduce(unit_rows(queries, "query"), target.T, reduce)
-    return idx, top
+    return _search(queries, unit_rows(space.matrix, "target", space.vocab), k)
 
 
 def batch_csls_topk(
@@ -151,18 +159,7 @@ def batch_csls_topk(
 
     r_T of each query is its mean cosine to its csls_k nearest index rows.
     """
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    k = min(k, len(index))
-    queries = np.atleast_2d(np.asarray(queries, dtype=np.float64))
-    if queries.shape[1] != index.space.dim:
-        raise ValueError(f"query dimension {queries.shape[1]} != index dimension {index.space.dim}")
-    idx = np.empty((queries.shape[0], k), dtype=np.intp)
-    top = np.empty((queries.shape[0], k), dtype=np.float64)
-    def reduce(start, stop, cos):
+    def csls(cos):
         r_query = _mean_topk(cos.copy(), index.csls_k)
-        scores = 2.0 * cos - r_query[:, None] - index.csls_density[None, :]
-        idx[start:stop] = _stable_topk(scores, k)
-        top[start:stop] = np.take_along_axis(scores, idx[start:stop], axis=1)
-    _score_reduce(unit_rows(queries, "query"), index.space.matrix.T, reduce)
-    return idx, top
+        return 2.0 * cos - r_query[:, None] - index.csls_density[None, :]
+    return _search(queries, index.space.matrix, k, csls)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _require_line_end, _write_rows
+from .embeddings import EmbeddingSpace, _checked_matrix, _require_line_end, _write_rows
 
 ORTHOGONALITY_TOL = 1e-8
 
@@ -25,20 +25,14 @@ class LinearMap:
     orthogonal: bool = False
 
     def __post_init__(self):
-        matrix = np.ascontiguousarray(self.matrix, dtype=np.float64)
-        if matrix.ndim != 2:
-            raise ValueError(f"map matrix must be 2-dimensional, got shape {matrix.shape}")
-        if not np.isfinite(matrix).all():
-            raise ValueError("map matrix contains non-finite entries")
+        self.matrix = _checked_matrix(self.matrix)
         if self.orthogonal:
-            d_in, d_out = matrix.shape
+            d_in, d_out = self.matrix.shape
             if d_in != d_out:
                 raise ValueError(f"orthogonal map must be square, got {d_in}x{d_out}")
-            defect = np.abs(matrix.T @ matrix - np.eye(d_in)).max()
+            defect = np.abs(self.matrix.T @ self.matrix - np.eye(d_in)).max()
             if defect > ORTHOGONALITY_TOL:
                 raise ValueError(f"matrix is not orthogonal: max |M'M - I| = {defect:.3e}")
-        matrix.setflags(write=False)
-        self.matrix = matrix
 
     @property
     def d_in(self) -> int:

@@ -532,6 +532,13 @@ class TestFixtureCommand:
     def test_unknown_command_usage_error(self):
         assert main(["frobnicate"]) == 2
 
+    @pytest.mark.parametrize("argv", [[], ["eval"]])
+    def test_missing_subcommand_usage_error(self, capsys, argv):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: meemi")
+
 
 def parser_actions():
     """Every argument action of every (sub)parser ``build_parser()`` makes."""

@@ -94,6 +94,11 @@ class TestLoad:
         with pytest.raises(ValueError, match="cat"):
             load_space(write(tmp_path, "cat 0 0 0\ndog 0 1 0\n"))
 
+    def test_blank_lines_skipped(self, tmp_path):
+        space = load_space(write(tmp_path, "2 2\n\ncat 1 0\n  \ndog 0 1\n\n"))
+        assert space.vocab == ["cat", "dog"]
+        assert np.array_equal(space.matrix, [[1.0, 0.0], [0.0, 1.0]])
+
     def test_empty_file(self, tmp_path):
         with pytest.raises(ValueError, match="no vectors"):
             load_space(write(tmp_path, ""))
@@ -295,6 +300,20 @@ class TestSidecar:
         arrays["matrix"][1, 0] = np.nan
         np.savez(sidecar(path), **arrays)
         assert same_space(load_space(path), space)
+
+    def test_float32_sidecar_goes_to_text(self, tmp_path, caplog):
+        space = random_space(12, n=3, d=2)
+        path = tmp_path / "s.vec"
+        save_space(space, path)
+        with np.load(sidecar(path)) as npz:
+            arrays = dict(npz)
+        arrays["matrix"] = arrays["matrix"].astype(np.float32)
+        np.savez(sidecar(path), **arrays)
+        with caplog.at_level(logging.DEBUG, logger="meemi.embeddings"):
+            back = load_space(path)
+        assert "parsing text" in caplog.text
+        assert "sidecar is stale" not in caplog.text
+        assert same_space(back, space)
 
     @pytest.mark.parametrize("keep_sidecar", [True, False])
     def test_zero_row_same_error_either_path(self, tmp_path, keep_sidecar):

@@ -139,6 +139,11 @@ class TestEvalBli:
         assert report.retrieval == "csls"
         assert 0.0 <= report.metrics["P@1"] <= 1.0
 
+    def test_unknown_retrieval_mode(self):
+        pair, lexicon = self.micro_pair()
+        with pytest.raises(ValueError, match="unknown retrieval mode 'dot'"):
+            eval_bli(pair, lexicon, retrieval="dot")
+
     def test_scaling_invariance(self):
         fx = make_rotated_pair(SyntheticSpec(80, 8, noise_sigma=0.4, seed=3))
         pair = align_supervised(fx.src, fx.tgt, BilingualLexicon(fx.gold.pairs[:30]))
@@ -382,6 +387,11 @@ class TestEvalHypernyms:
         space = self.ranked_space()
         with pytest.raises(ValueError, match="no test query"):
             eval_hypernyms(space, LinearMap(np.eye(2)), HypernymDataset([("zz", ["c1"])]))
+
+    def test_unknown_retrieval_mode(self):
+        test = HypernymDataset([("query", ["c1"])])
+        with pytest.raises(ValueError, match="unknown retrieval mode 'dot'"):
+            eval_hypernyms(self.ranked_space(), LinearMap(np.eye(2)), test, retrieval="dot")
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15)

@@ -267,3 +267,11 @@ class TestPersistence:
         manifest.write_bytes(manifest.read_bytes()[:-2])
         with pytest.raises(ValueError, match=r"m\.model:3: line has no newline"):
             load_meemi(manifest)
+
+    def test_non_integer_pair_count_names_line(self, tmp_path):
+        manifest = tmp_path / "m.model"
+        save_meemi(MeemiModel(LinearMap(np.eye(2)), LinearMap(np.eye(2)), 1234), manifest)
+        lines = manifest.read_text().splitlines()
+        manifest.write_text(f"{lines[0]}\n{lines[1]}\nx\n")
+        with pytest.raises(ValueError, match=r"m\.model:3: train pair count must be an integer"):
+            load_meemi(manifest)

@@ -200,6 +200,11 @@ class TestKnnCsls:
         csls = [t for t, _ in csls_ranked(index, query, k=6)]
         assert cos == csls
 
+    def test_k_must_be_positive(self):
+        index = build_index(space_from(np.eye(3)), csls_k=1)
+        with pytest.raises(ValueError, match="k must be positive"):
+            csls_ranked(index, np.array([1.0, 0.0, 0.0]), k=0)
+
     def test_matches_definitional_oracle_on_toy_hub(self):
         # 20-word toy: dense cluster plus spread-out specifics; CSLS must
         # reproduce the definitional oracle exactly, hub demotion included
@@ -295,3 +300,5 @@ class TestBatch:
         space = space_from(np.eye(3))
         with pytest.raises(ValueError, match="dimension"):
             batch_cosine_topk(space, np.ones((2, 4)), k=1)
+        with pytest.raises(ValueError, match="dimension"):
+            batch_csls_topk(build_index(space, csls_k=1), np.ones((2, 4)), k=1)

@@ -193,6 +193,10 @@ class TestLinearMapType:
         with pytest.raises(ValueError, match="non-finite"):
             LinearMap(np.array([[np.inf]]))
 
+    def test_matrix_must_be_2d(self):
+        with pytest.raises(ValueError, match="2-dimensional"):
+            LinearMap(np.ones(3))
+
     def test_paired_data_row_mismatch(self):
         with pytest.raises(ValueError, match="mismatch"):
             fit_least_squares(np.ones((2, 3)), np.ones((3, 3)))
@@ -253,6 +257,17 @@ class TestSerialization:
         path.write_text("2 x 0\n1 2 3\n")
         with pytest.raises(ValueError, match="header"):
             load_map(path)
+
+    def test_orthogonal_flag_other_than_0_or_1(self, tmp_path):
+        path = tmp_path / "m.map"
+        path.write_text("1 1 2\n1\n")
+        with pytest.raises(ValueError, match=r"m\.map:1: orthogonal flag must be 0 or 1"):
+            load_map(path)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        path = tmp_path / "m.map"
+        path.write_text("2 2 0\n\n1 2\n  \n3 4\n\n")
+        assert np.array_equal(load_map(path).matrix, [[1.0, 2.0], [3.0, 4.0]])
 
     @given(
         matrix=hnp.arrays(
