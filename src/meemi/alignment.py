@@ -200,11 +200,7 @@ def iterate_self_learning(
     tgt_n = apply_normalization(tgt)
     seed_src, seed_tgt, kept = resolve_rows(seed_lexicon, src_n, tgt_n)
     seed_src, seed_tgt = seed_src[kept], seed_tgt[kept]
-    # Pairs compare by token, so an induced pair repeats a seed pair only when
-    # both seed tokens are exact vocabulary tokens; every such pair is kept.
-    exact = np.array([s in src_n and t in tgt_n for s, t in seed_lexicon.pairs], dtype=bool)[kept]
-    n_all = len(tgt_n)
-    seed_keys = seed_src[exact] * n_all + seed_tgt[exact]
+    seed_pairs = set(seed_lexicon.pairs)
     rows_src, rows_tgt = seed_src, seed_tgt
     nearest = None
     best_w: LinearMap | None = None
@@ -220,7 +216,7 @@ def iterate_self_learning(
         # induced tokens are exact vocabulary tokens, so these are their own rows
         last = nearest
         induced_src, nearest, _ = resolve_rows(induced, mapped, tgt_n)
-        new = ~np.isin(induced_src * n_all + nearest, seed_keys)
+        new = np.array([pair not in seed_pairs for pair in induced.pairs], dtype=bool)
         changed = 1.0 if last is None else float(np.mean(nearest != last))
         log.debug(
             "self-learning iteration %d: %d training rows, mean induced cosine %.6f, "

@@ -73,11 +73,14 @@ def _write(out: Path, *writers) -> None:
     _run_forked(*writers)
 
 
-def _identity_pair(src, tgt, limit=None) -> AlignedPair:
+def _load_pair(src, tgt, limit=None, map_path=None) -> AlignedPair:
+    """The two spaces as a pair under the map at ``map_path``, or the identity without one."""
     src_space = load_space(src, limit)
     tgt_space = load_space(tgt, limit)
-    identity = LinearMap(np.eye(src_space.dim), orthogonal=True)
-    return AlignedPair(src_space, tgt_space, identity, iterations_run=0)
+    alignment_map = (
+        load_map(map_path) if map_path else LinearMap(np.eye(src_space.dim), orthogonal=True)
+    )
+    return AlignedPair(src_space, tgt_space, alignment_map, iterations_run=0)
 
 
 def _parse_ks(raw: str) -> tuple[int, ...]:
@@ -140,12 +143,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    src = load_space(args.src, args.limit)
-    tgt = load_space(args.tgt, args.limit)
-    alignment_map = (
-        load_map(args.map) if args.map else LinearMap(np.eye(src.dim), orthogonal=True)
-    )
-    before = AlignedPair(src, tgt, alignment_map, iterations_run=0)
+    before = _load_pair(args.src, args.tgt, args.limit, args.map)
     lexicon = load_lexicon(args.dict)
     model = fit_meemi(before, lexicon)
     after = apply_meemi(model, before)
@@ -165,7 +163,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    pair = _identity_pair(args.src, args.tgt, args.limit)
+    pair = _load_pair(args.src, args.tgt, args.limit)
     induced = induce_dictionary(pair, args.cap)
     save_lexicon(induced, args.out)
     print(f"induced {len(induced)} pairs")
@@ -173,7 +171,7 @@ def cmd_induce(args) -> int:
 
 
 def cmd_eval_bli(args) -> int:
-    pair = _identity_pair(args.src, args.tgt, args.limit)
+    pair = _load_pair(args.src, args.tgt, args.limit)
     report = eval_bli(
         pair,
         load_lexicon(args.test),
@@ -200,7 +198,7 @@ def cmd_eval_sim(args) -> int:
 
 def cmd_eval_hyper(args) -> int:
     if args.tgt:
-        space = _identity_pair(args.src, args.tgt, args.limit)
+        space = _load_pair(args.src, args.tgt, args.limit)
     else:
         space = load_space(args.src, args.limit)
     projection = fit_hypernym_projection(space, load_hypernyms(args.train))
@@ -441,12 +439,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _require_paths(args)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, UsageError) else 1
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)

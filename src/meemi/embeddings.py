@@ -182,8 +182,9 @@ def _checked_matrix(matrix, rows: int | None = None) -> np.ndarray:
 class EmbeddingSpace:
     """An ordered vocabulary plus a row-major matrix of word vectors.
 
-    Row i of ``matrix`` is the vector of ``vocab[i]``. Tokens are unique
-    and contain no whitespace; all components are finite.
+    Row i of ``matrix`` is the vector of ``vocab[i]``. Tokens are unique and contain no
+    whitespace; all components are finite. A C-contiguous float64 ``matrix`` is kept, not
+    copied, and made read-only, so the caller's array is read-only too; any other is copied.
     """
 
     vocab: list[str]
@@ -202,7 +203,8 @@ class EmbeddingSpace:
         self._index = index
 
     def with_matrix(self, matrix) -> EmbeddingSpace:
-        """A space of ``matrix``'s rows sharing this one's checked vocab and index."""
+        """A space of ``matrix``'s rows sharing this one's checked vocab and index;
+        ``matrix`` is kept or copied as the class docstring says."""
         space = copy.copy(self)
         space.matrix = _checked_matrix(matrix, len(self.vocab))
         return space
@@ -232,21 +234,26 @@ class EmbeddingSpace:
         )
 
 
-def _parse_row(parts: list[str], dim: int | None, line_no: int, path) -> tuple[str, np.ndarray]:
-    token = parts[0]
-    if dim is not None and len(parts) - 1 != dim:
-        raise ValueError(
-            f"{path}:{line_no}: expected {dim} components for {token!r}, found {len(parts) - 1}"
-        )
+def _is_header(parts: list[str], count: int) -> bool:
+    """Whether a line's fields are ``count`` runs of ASCII digits, as a header's are."""
+    return len(parts) == count and all(p.isascii() and p.isdigit() for p in parts)
+
+
+def _parse_row(fields, width: int | None, raw: str, path, line_no: int, token=None) -> np.ndarray:
+    """A ``.map`` row's components, or a ``.vec`` row's after its ``token``, as float64, checked
+    in order: ``width`` of them if given, each a float, ``raw`` ended by a newline, all finite."""
+    of = "" if token is None else f" for {token!r}"
+    if width is not None and len(fields) != width:
+        raise ValueError(f"{path}:{line_no}: expected {width} components{of}, found {len(fields)}")
     try:
-        comps = np.array(list(map(float, parts[1:])), dtype=np.float64)
+        comps = np.array(list(map(float, fields)), dtype=np.float64)
     except ValueError:
-        raise ValueError(f"{path}:{line_no}: unparseable vector component") from None
+        raise ValueError(f"{path}:{line_no}: unparseable matrix entry{of}") from None
+    _require_line_end(raw, path, line_no)
     if not np.isfinite(comps).all():
-        raise ValueError(f"{path}:{line_no}: non-finite component for token {token!r}")
-    if not comps.any():
-        raise ValueError(f"{path}:{line_no}: all-zero vector for token {token!r}")
-    return token, comps
+        row = "map matrix" if token is None else f"vector{of}"
+        raise ValueError(f"{path}:{line_no}: {row} contains non-finite entries")
+    return comps
 
 
 def _require_line_end(raw: str, path, line_no: int) -> None:
@@ -344,11 +351,13 @@ def load_space(path, limit: int | None = None) -> EmbeddingSpace:
             parts = raw.split()
             if not parts:
                 continue
-            if line_no == 1 and len(parts) == 2 and all(p.isascii() and p.isdigit() for p in parts):
+            if line_no == 1 and _is_header(parts, 2):
                 count, dim = int(parts[0]), int(parts[1])
                 continue
-            token, comps = _parse_row(parts, dim, line_no, path)
-            _require_line_end(raw, path, line_no)
+            token = parts[0]
+            comps = _parse_row(parts[1:], dim, raw, path, line_no, token)
+            if not comps.any():
+                raise ValueError(f"{path}:{line_no}: all-zero vector for token {token!r}")
             if dim is None:
                 dim = len(comps)
             if token in rows:

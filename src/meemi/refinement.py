@@ -125,20 +125,21 @@ def save_meemi(model: MeemiModel, manifest_path) -> None:
 
 
 def load_meemi(manifest_path) -> MeemiModel:
-    manifest_path = os.fspath(manifest_path)
-    base = os.path.dirname(manifest_path)
-    with open(manifest_path, encoding="utf-8") as fh:
+    path = os.fspath(manifest_path)
+    base = os.path.dirname(path)
+    with open(path, encoding="utf-8") as fh:
         raw = fh.readlines()
-    lines = [line.strip() for line in raw if line.strip()]
+    lines = [(line_no, line.strip()) for line_no, line in enumerate(raw, start=1) if line.strip()]
     if len(lines) != 3:
-        raise ValueError(f"{manifest_path}: expected 3 manifest lines, found {len(lines)}")
+        raise ValueError(f"{path}: expected 3 manifest lines, found {len(lines)}")
+    (_, src_name), (_, tgt_name), (count_line, count_text) = lines
     try:
-        count = int(lines[2])
+        count = int(count_text)
     except ValueError:
-        raise ValueError(f"{manifest_path}:3: train pair count must be an integer") from None
-    _require_line_end(raw[-1], manifest_path, len(raw))
+        raise ValueError(f"{path}:{count_line}: train pair count must be an integer") from None
+    _require_line_end(raw[-1], path, len(raw))
     return MeemiModel(
-        map_src=load_map(os.path.join(base, lines[0])),
-        map_tgt=load_map(os.path.join(base, lines[1])),
+        map_src=load_map(os.path.join(base, src_name)),
+        map_tgt=load_map(os.path.join(base, tgt_name)),
         train_pair_count=count,
     )

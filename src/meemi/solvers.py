@@ -12,14 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _checked_matrix, _require_line_end, _write_rows
+from .embeddings import EmbeddingSpace, _checked_matrix, _is_header, _parse_row, _write_rows
 
 ORTHOGONALITY_TOL = 1e-8
 
 
 @dataclass
 class LinearMap:
-    """A d_in x d_out real matrix, optionally constrained orthogonal."""
+    """A d_in x d_out real matrix, optionally constrained orthogonal. Like ``EmbeddingSpace``,
+    it keeps a C-contiguous float64 ``matrix`` itself, made read-only, and copies any other."""
 
     matrix: np.ndarray
     orthogonal: bool = False
@@ -103,7 +104,7 @@ def save_map(linear_map: LinearMap, path) -> None:
 def load_map(path) -> LinearMap:
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
-        if len(header) != 3 or not all(p.isascii() and p.isdigit() for p in header):
+        if not _is_header(header, 3):
             raise ValueError(f"{path}:1: expected header '<d_in> <d_out> <orthogonal:0|1>'")
         d_in, d_out, flag = (int(p) for p in header)
         if flag not in (0, 1):
@@ -113,18 +114,8 @@ def load_map(path) -> LinearMap:
         rows = []
         for line_no, raw in enumerate(fh, start=2):
             parts = raw.split()
-            if not parts:
-                continue
-            if len(parts) != d_out:
-                raise ValueError(f"{path}:{line_no}: expected {d_out} entries, found {len(parts)}")
-            try:
-                row = np.array(list(map(float, parts)), dtype=np.float64)
-            except ValueError:
-                raise ValueError(f"{path}:{line_no}: unparseable matrix entry") from None
-            _require_line_end(raw, path, line_no)
-            if not np.isfinite(row).all():
-                raise ValueError(f"{path}:{line_no}: map matrix contains non-finite entries")
-            rows.append(row)
+            if parts:
+                rows.append(_parse_row(parts, d_out, raw, path, line_no))
     if len(rows) != d_in:
         raise ValueError(f"{path}: expected {d_in} matrix rows, found {len(rows)}")
     try:

@@ -90,6 +90,21 @@ class TestLoad:
         with pytest.raises(ValueError, match=":1"):
             load_space(write(tmp_path, "cat 1 oops 0\n"))
 
+    @pytest.mark.parametrize("row, message", [
+        ("cat 1 0", r"space\.vec:2: expected 3 components for 'cat', found 2"),
+        ("cat 1 oops 0", r"space\.vec:2: unparseable matrix entry for 'cat'"),
+        ("cat 1 nan 0", r"space\.vec:2: vector for 'cat' contains non-finite entries"),
+        ("cat 0 0 0", r"space\.vec:2: all-zero vector for token 'cat'"),
+    ])
+    def test_row_faults_name_line_and_token(self, tmp_path, row, message):
+        with pytest.raises(ValueError, match=message):
+            load_space(write(tmp_path, f"dog 0 1 0\n{row}\ndog2 1 1 1\n"))
+
+    @pytest.mark.parametrize("row", ["cat 1 nan 0", "cat 0 0 0"])
+    def test_cut_last_row_reports_the_cut_first(self, tmp_path, row):
+        with pytest.raises(ValueError, match=r"space\.vec:2: line has no newline"):
+            load_space(write(tmp_path, f"dog 0 1 0\n{row}"))
+
     def test_zero_row_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="cat"):
             load_space(write(tmp_path, "cat 0 0 0\ndog 0 1 0\n"))
@@ -659,6 +674,36 @@ class TestInvariants:
         space = random_space(5)
         with pytest.raises(ValueError):
             space.matrix[0, 0] = 7.0
+
+
+MATRIX_OWNERS = {
+    "EmbeddingSpace": lambda m: EmbeddingSpace(["a", "b"], m),
+    "LinearMap": LinearMap,
+    "with_matrix": lambda m: EmbeddingSpace(["a", "b"], np.eye(2)).with_matrix(m),
+}
+
+
+class TestMatrixOwnership:
+    """Every constructor keeps a C-contiguous float64 matrix itself, made
+    read-only, and copies any other matrix, leaving the caller's writeable."""
+
+    @pytest.mark.parametrize("make", MATRIX_OWNERS.values(), ids=MATRIX_OWNERS)
+    def test_contiguous_float64_is_kept_and_made_read_only(self, make):
+        m = np.array([[1.0, 2.0], [3.0, 4.0]])
+        assert make(m).matrix is m
+        assert not m.flags.writeable
+
+    @pytest.mark.parametrize("make", MATRIX_OWNERS.values(), ids=MATRIX_OWNERS)
+    @pytest.mark.parametrize("m", [
+        np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float32),
+        np.array([[1.0, 0.0, 2.0], [3.0, 0.0, 4.0]])[:, ::2],
+        np.array([[1.0, 2.0], [3.0, 4.0]], order="F"),
+    ], ids=["float32", "strided", "fortran"])
+    def test_other_input_is_copied(self, make, m):
+        matrix = make(m).matrix
+        assert not np.shares_memory(matrix, m)
+        assert m.flags.writeable and not matrix.flags.writeable
+        assert np.array_equal(matrix, m)
 
 
 class TestWithMatrix:

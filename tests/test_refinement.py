@@ -275,3 +275,9 @@ class TestPersistence:
         manifest.write_text(f"{lines[0]}\n{lines[1]}\nx\n")
         with pytest.raises(ValueError, match=r"m\.model:3: train pair count must be an integer"):
             load_meemi(manifest)
+
+    def test_pair_count_error_names_the_line_past_blank_lines(self, tmp_path):
+        manifest = tmp_path / "m.model"
+        manifest.write_text("\nm.src.map\n\nm.tgt.map\n\nx\n")
+        with pytest.raises(ValueError, match=r"m\.model:6: train pair count must be an integer"):
+            load_meemi(manifest)

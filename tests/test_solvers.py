@@ -318,6 +318,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match=r"m\.map: orthogonal map must be square"):
             load_map(path)
 
+    def test_row_faults_share_the_space_parser_wording(self, tmp_path):
+        path = tmp_path / "m.map"
+        path.write_text("2 2 0\n1 2\n3\n")
+        with pytest.raises(ValueError, match=r"m\.map:3: expected 2 components, found 1$"):
+            load_map(path)
+        path.write_text("2 2 0\n1 2\n3 x\n")
+        with pytest.raises(ValueError, match=r"m\.map:3: unparseable matrix entry$"):
+            load_map(path)
+
     def test_wrong_row_arity(self, tmp_path):
         path = tmp_path / "m.map"
         path.write_text("1 3 0\n1 2\n")
