@@ -15,7 +15,8 @@ with and without ``os.fork`` are compared with each other too.
 The list builds the three fixtures, then runs ``align`` (plain, with
 self-learning, with ``--limit``), ``refine`` (with ``--map`` and on the
 self-learned pair), ``eval bli`` and ``eval hyper`` under both retrievals,
-``eval sim`` cross-lingual and monolingual, ``inspect``, ``induce``, and
+``eval sim`` cross-lingual and monolingual, ``inspect``, ``induce``,
+``inspect`` under cosine and CSLS on a space of exact ties, and
 ``align``/``refine`` on a dictionary that resolves nothing. The rotated
 and taxonomy fixtures hold 1500 x 64 = 96000 components, above
 ``meemi.embeddings.MIN_RANGE_COMPONENTS``, so saves are split into row
@@ -84,6 +85,9 @@ def commands(vocab: int, dim: int) -> list[list[str]]:
         ["inspect", "src00001", "--src", "fx/src.vec", "--k", "5"],
         ["inspect", "src00001", *aligned, "--retrieval", "csls"],
         ["induce", *aligned, "--cap", half, "--out", "induced.dict"],
+        ["inspect", "w00", "--src", "ties.vec", "--k", "6"],
+        ["inspect", "w00", "--src", "ties.vec", "--tgt", "ties.vec", "--k", "6",
+         "--retrieval", "csls", "--csls-k", "2"],
         ["align", *pair, "--dict", "nothing.dict", "--out", "none_aligned"],
         ["refine", *pair, "--dict", "nothing.dict", "--out", "none_refined"],
     ]
@@ -91,8 +95,14 @@ def commands(vocab: int, dim: int) -> list[list[str]]:
 
 
 def write_datasets(vocab: int) -> None:
-    """The similarity data and the dictionary that resolves nothing, into the
-    current directory; tokens follow ``fixture rotated``'s naming."""
+    """The similarity data, the dictionary that resolves nothing and
+    ``ties.vec``, into the current directory; tokens follow ``fixture
+    rotated``'s naming.
+
+    ``ties.vec`` holds 12 rows of dimension 4, each one of three distinct
+    vectors of four +-1 entries, so every cosine is a multiple of 0.25 and
+    its ties are exact; each vector's rows tie across the top-k cut.
+    """
     n = min(vocab, 40)
     score = [f"{(i * 37) % 100 / 10:.1f}" for i in range(n)]
     with open("sim_cross.txt", "w", encoding="utf-8") as fh:
@@ -102,6 +112,9 @@ def write_datasets(vocab: int) -> None:
         fh.writelines(f"src{i:05d} src{(i + 1) % vocab:05d} {score[i]}\n" for i in range(n))
     with open("nothing.dict", "w", encoding="utf-8") as fh:
         fh.write("nope nada\n")
+    vectors = ("1 1 1 1", "1 1 -1 -1", "1 -1 1 1")
+    with open("ties.vec", "w", encoding="utf-8") as fh:
+        fh.writelines(f"w{i:02d} {vectors[i % 3]}\n" for i in range(12))
 
 
 def tree_digest(root: Path) -> dict[str, str]:

@@ -36,6 +36,8 @@ from .alignment import (
 )
 from .embeddings import _run_forked, load_space, save_space
 from .evaluation import (
+    DEFAULT_HYPERNYM_K,
+    RETRIEVAL_MODES,
     _topk,
     eval_bli,
     eval_hypernyms,
@@ -52,6 +54,7 @@ from .lexicon import (
     save_lexicon,
 )
 from .refinement import apply_meemi, fit_meemi, save_meemi, similarity_shift_report
+from .retrieval import DEFAULT_CSLS_K
 from .solvers import LinearMap, load_map, save_map
 
 
@@ -221,10 +224,10 @@ def cmd_inspect(args) -> int:
     if row is None:
         raise ValueError(f"word {args.word!r} is not in the source vocabulary")
     candidates = load_space(args.tgt, args.limit) if args.tgt else src
-    # within one space the word's own row is dropped, so one more is retrieved
+    # one more is retrieved, so k remain once the word's own row is dropped
+    # within one space; with --tgt no row is dropped and the extra one is cut
     own = -1 if args.tgt else row
-    k = args.k if args.tgt else args.k + 1
-    idx, scores = _topk(src.matrix[row], candidates, k, args.retrieval, args.csls_k,
+    idx, scores = _topk(src.matrix[row], candidates, args.k + 1, args.retrieval, args.csls_k,
                         density_space=src if args.tgt else None)
     neighbors = [(candidates.vocab[j], s) for j, s in zip(idx[0], scores[0]) if j != own][: args.k]
     for rank, (token, score) in enumerate(neighbors, start=1):
@@ -266,22 +269,25 @@ def _add_common(parser, *, tgt_required=True, with_out=False):
     parser.add_argument("--src", required=True, help="source embedding file (.vec)")
     parser.add_argument("--tgt", required=tgt_required, default=None, help="target embedding file")
     parser.add_argument("--limit", type=_count, default=None, help="max vocabulary per space")
+    _add_run_flags(parser, with_out=with_out)
+
+
+def _add_run_flags(parser, *, with_out):
+    """The flags every command takes: --seed, --config, -v, and --out when
+    ``with_out`` names an output directory."""
     parser.add_argument("--seed", type=int, default=42,
-                        help="accepted for uniform scripts; only `fixture` draws random numbers")
+                        help="random seed; only `fixture` draws random numbers, "
+                             "the other commands accept it for uniform scripts")
     parser.add_argument("--config", default=None, help="key=value defaults file")
-    _add_verbose(parser)
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log each stage's progress to stderr at DEBUG")
     if with_out:
         parser.add_argument("--out", required=True, help="output directory")
 
 
-def _add_verbose(parser):
-    parser.add_argument("-v", "--verbose", action="store_true",
-                        help="log each stage's progress to stderr at DEBUG")
-
-
 def _add_retrieval(parser):
-    parser.add_argument("--retrieval", choices=("cosine", "csls"), default="cosine")
-    parser.add_argument("--csls-k", type=_count, default=10, dest="csls_k")
+    parser.add_argument("--retrieval", choices=RETRIEVAL_MODES, default="cosine")
+    parser.add_argument("--csls-k", type=_count, default=DEFAULT_CSLS_K, dest="csls_k")
 
 
 def _add_report(parser):
@@ -341,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, tgt_required=False)
     p.add_argument("--train", required=True, help="training tsv")
     p.add_argument("--test", required=True, help="test tsv")
-    p.add_argument("--k", type=_count, default=15)
+    p.add_argument("--k", type=_count, default=DEFAULT_HYPERNYM_K)
     _add_retrieval(p)
     _add_report(p)
     p.set_defaults(func=cmd_eval_hyper)
@@ -359,10 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_count, default=50)
     p.add_argument("--sigma", type=_number_type(float, lambda v: 0 <= v < float("inf"),
                                                 "finite and at least 0"), default=0.0)
-    p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--out", required=True)
-    p.add_argument("--config", default=None, help="key=value defaults file")
-    _add_verbose(p)
+    _add_run_flags(p, with_out=True)
     p.set_defaults(func=cmd_fixture)
 
     return parser
@@ -420,25 +423,18 @@ def _apply_config(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    try:
-        argv = _apply_config(argv)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     logger = logging.getLogger("meemi")
     handler, level = logging.StreamHandler(sys.stderr), logger.level
-    if args.verbose:
-        handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
-        logger.addHandler(handler)
-        logger.setLevel(logging.DEBUG)
     try:
+        args = build_parser().parse_args(_apply_config(argv))
+        if args.verbose:
+            handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+            logger.addHandler(handler)
+            logger.setLevel(logging.DEBUG)
         _require_paths(args)
         return args.func(args)
+    except SystemExit as exc:  # argparse's usage errors, --help
+        return exc.code if isinstance(exc.code, int) else 2
     except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, UsageError) else 1

@@ -19,7 +19,7 @@ import numpy as np
 from .alignment import AlignedPair, pair_cosines
 from .embeddings import EmbeddingSpace
 from .lexicon import BilingualLexicon, HypernymDataset, SimilarityDataset
-from .retrieval import batch_cosine_topk, batch_csls_topk, build_index
+from .retrieval import DEFAULT_CSLS_K, batch_cosine_topk, batch_csls_topk, build_index
 from .solvers import LinearMap, fit_least_squares
 
 RETRIEVAL_MODES = ("cosine", "csls")
@@ -75,10 +75,11 @@ def _topk(
 ) -> tuple[np.ndarray, np.ndarray]:
     """(indexes, scores) of each query's top-k candidate rows under ``retrieval``;
     CSLS densities are taken against ``density_space`` when given."""
+    if retrieval not in RETRIEVAL_MODES:
+        modes = " or ".join(map(repr, RETRIEVAL_MODES))
+        raise ValueError(f"unknown retrieval mode {retrieval!r}; use {modes}")
     if retrieval == "cosine":
         return batch_cosine_topk(candidates, queries, k)
-    if retrieval != "csls":
-        raise ValueError(f"unknown retrieval mode {retrieval!r}; use 'cosine' or 'csls'")
     index = build_index(candidates, csls_k, source_space=density_space)
     return batch_csls_topk(index, queries, k)
 
@@ -95,7 +96,7 @@ def eval_bli(
     test_lexicon: BilingualLexicon,
     retrieval: str = "cosine",
     ks: tuple[int, ...] = (1, 5, 10),
-    csls_k: int = 10,
+    csls_k: int = DEFAULT_CSLS_K,
     dataset: str = "",
 ) -> EvalReport:
     """Precision at k for dictionary induction.
@@ -222,7 +223,7 @@ def eval_hypernyms(
     test: HypernymDataset,
     k: int = DEFAULT_HYPERNYM_K,
     retrieval: str = "cosine",
-    csls_k: int = 10,
+    csls_k: int = DEFAULT_CSLS_K,
     dataset_name: str = "",
 ) -> EvalReport:
     """MRR, MAP and P@5 over projected hypernym candidates.

@@ -69,19 +69,14 @@ def _stable_topk(scores: np.ndarray, k: int) -> np.ndarray:
 
     Only the columns scoring at least the row's k-th largest value are
     stable-sorted, in ascending index order, so the order is a full sort's.
+    All rows' candidates go through one sort, by row and then by descending
+    score; each row keeps its first k, however many tie at the k-th value.
     """
     n = scores.shape[1]
-    keep = scores >= np.partition(scores, n - k, axis=1)[:, n - k, None]
-    exact = keep.sum(axis=1) == k
-    out = np.empty((scores.shape[0], k), dtype=np.intp)
-    rows = np.flatnonzero(exact)
-    cols = np.nonzero(keep[rows])[1].reshape(-1, k)
-    order = np.argsort(-scores[rows[:, None], cols], axis=1, kind="stable")
-    out[rows] = np.take_along_axis(cols, order, axis=1)
-    for row in np.flatnonzero(~exact):  # ties straddle the k-th value
-        cols = np.flatnonzero(keep[row])
-        out[row] = cols[np.argsort(-scores[row, cols], kind="stable")[:k]]
-    return out
+    rows, cols = np.nonzero(scores >= np.partition(scores, n - k, axis=1)[:, n - k, None])
+    order = np.lexsort((-scores[rows, cols], rows))
+    starts = np.searchsorted(rows, np.arange(scores.shape[0]))
+    return cols[order][starts[:, None] + np.arange(k)]
 
 
 def _mean_topk(scores: np.ndarray, k: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import argparse
 import ast
+import inspect
 import logging
 import os
 import subprocess
@@ -14,8 +15,10 @@ from meemi import embeddings
 from meemi.alignment import align_supervised
 from meemi.cli import BOOL_KEYS, _count, build_parser, main
 from meemi.embeddings import EmbeddingSpace, load_space, save_space
+from meemi.evaluation import DEFAULT_HYPERNYM_K, RETRIEVAL_MODES, eval_bli, eval_hypernyms
 from meemi.lexicon import load_lexicon
 from meemi.refinement import apply_meemi, fit_meemi
+from meemi.retrieval import DEFAULT_CSLS_K
 from meemi.solvers import LinearMap, save_map
 
 
@@ -509,6 +512,20 @@ class TestConfigFile:
         code = main(["align", "--config", str(config), "--out", str(tmp_path / "o")])
         assert code == 2
 
+    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+    def test_unreadable_config_is_data_error(self, rotated_files, tmp_path, capsys, kind):
+        # the config exists, so it is no usage error, but it cannot be read as text
+        config = tmp_path / "run.cfg"
+        if kind == "directory":
+            config.mkdir()
+        else:
+            config.write_bytes(b"k=\xff\xfe\n")
+        assert main(["inspect", "src00003", "--src", str(rotated_files["src"]),
+                     "--config", str(config)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
 
 class TestFixtureCommand:
     def test_rotated_files(self, rotated_files):
@@ -568,6 +585,20 @@ def test_every_float_flag_rejects_nan():
         assert isinstance(action.type(str(action.default)), float)
         with pytest.raises(argparse.ArgumentTypeError):
             action.type("nan")
+
+
+def test_retrieval_flags_default_to_the_library_constants():
+    actions = parser_actions()
+    modes = [action for action in actions if "--retrieval" in action.option_strings]
+    csls_ks = [action for action in actions if "--csls-k" in action.option_strings]
+    assert len(modes) == len(csls_ks) == 3  # eval bli, eval hyper, inspect
+    assert all(action.choices == RETRIEVAL_MODES for action in modes)
+    assert all(action.default == DEFAULT_CSLS_K for action in csls_ks)
+    hyper = build_parser().parse_args("eval hyper --src s --train t --test t".split())
+    assert hyper.k == DEFAULT_HYPERNYM_K
+    for fn in (eval_bli, eval_hypernyms):
+        assert inspect.signature(fn).parameters["csls_k"].default == DEFAULT_CSLS_K
+    assert inspect.signature(eval_hypernyms).parameters["k"].default == DEFAULT_HYPERNYM_K
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from meemi.embeddings import EmbeddingSpace
 from meemi.retrieval import (
+    _stable_topk,
     batch_cosine_topk,
     batch_csls_topk,
     build_index,
@@ -269,8 +270,8 @@ class TestOracleAgreement:
     @settings(max_examples=25)
     def test_ties_at_kth_value_match_oracles(self, seed):
         # k below n reaches the partition path; with few distinct rows the
-        # k-th value is often shared, so both its exact-count rows and its
-        # per-row tie path run
+        # k-th value is often shared, so rows with exactly k candidates and
+        # rows whose ties straddle the k-th value meet in one candidate sort
         rng = np.random.default_rng(seed)
         n = int(rng.integers(8, 40))
         d = int(rng.integers(4, 7))
@@ -282,6 +283,22 @@ class TestOracleAgreement:
         for q, query in enumerate(queries):
             assert list(cos_idx[q]) == oracle_cosine_ranking(matrix, query)[:k]
             assert list(csls_idx[q]) == oracle_csls_ranking(matrix, query, csls_k=3)[:k]
+
+
+class TestStableTopk:
+    @given(m=st.integers(1, 300), n=st.integers(1, 50), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_equals_full_stable_argsort(self, m, n, data):
+        # tie-rich integer rows (one to three levels, so whole rows can tie)
+        # mixed with continuous rows in one block, and every k from 1 to n
+        k = data.draw(st.integers(1, n), label="k")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        scores = rng.standard_normal((m, n))
+        tied = rng.random(m) < data.draw(st.floats(0.0, 1.0), label="tied share")
+        scores[tied] = rng.integers(0, rng.integers(1, 4), size=(int(tied.sum()), n))
+        got = _stable_topk(scores, k)
+        assert got.shape == (m, k) and got.dtype == np.intp
+        assert np.array_equal(got, np.argsort(-scores, axis=1, kind="stable")[:, :k])
 
 
 class TestBatch:
