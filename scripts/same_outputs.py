@@ -10,7 +10,11 @@ compares the SHA-256 of every file the commands leave (``.npz`` sidecars
 included), the directories they make, and each command's stdout, stderr
 and exit code. It prints one line when all of them match and exits 0;
 otherwise it names every difference and exits 1. The working tree's runs
-with and without ``os.fork`` are compared with each other too.
+with and without ``os.fork`` are compared with each other too. Both trees
+run under this process's environment, and the line ends with its BLAS
+thread settings (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, or
+``unset``): outputs are byte-identical only for one numpy and OpenBLAS
+build and one BLAS thread count.
 
 The list builds the three fixtures, then runs ``align`` (plain, with
 self-learning, with ``--limit``), ``refine`` (with ``--map`` and on the
@@ -45,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 FULL = (1500, 64)
 TINY = (60, 8)
 MODES = ("fork", "nofork")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
 
 
 def commands(vocab: int, dim: int) -> list[list[str]]:
@@ -241,8 +246,10 @@ def main() -> int:
     if found:
         print(f"same_outputs: {len(found)} differences against {args.ref}")
         return 1
+    threads = " ".join(f"{name}={os.environ.get(name, 'unset')}" for name in BLAS_THREAD_VARS)
     print(f"same_outputs: identical to {args.ref}: {count} commands, {paths} paths, exit codes, "
-          f"stdout and stderr, with os.fork ({here['fork']['forks']} forks) and without")
+          f"stdout and stderr, with os.fork ({here['fork']['forks']} forks) and without, "
+          f"under {threads}")
     return 0
 
 

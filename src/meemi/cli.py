@@ -1,12 +1,10 @@
 """Command-line front end: align, refine, induce, eval, inspect, fixture.
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error. Every
-command accepts one ``--config FILE`` holding ``key=value`` lines that act
-as flag defaults; flags given on the command line win. Every command accepts
-``-v/--verbose``, which logs each stage's progress to stderr at DEBUG;
-stdout is the same with or without it. All randomness flows from
+command accepts ``-v/--verbose``, which logs each stage's progress to stderr
+at DEBUG; stdout is the same with or without it. All randomness flows from
 ``--seed``, so identical inputs and seed produce byte-identical output
-files.
+files under the same numpy and OpenBLAS build and BLAS thread count.
 
 Count flags (``--limit``, ``--k``, ``--csls-k``, ``--cap``, ``--max-iter``,
 ``--vocab``, ``--dim``) below 1, ``--tol`` at or below 0 and ``--sigma``
@@ -122,7 +120,7 @@ def _emit_report(report, args) -> None:
 
 
 def cmd_align(args) -> int:
-    config = AlignmentConfig(
+    options = AlignmentConfig(
         self_learning=args.self_learning,
         max_iterations=args.max_iter,
         convergence_tol=args.tol,
@@ -132,7 +130,7 @@ def cmd_align(args) -> int:
     tgt = load_space(args.tgt, args.limit)
     lexicon = load_lexicon(args.dict)
     _, _, kept = resolve_rows(lexicon, src, tgt)
-    pair = align_supervised(src, tgt, lexicon, config)
+    pair = align_supervised(src, tgt, lexicon, options)
     out = Path(args.out)
     _write(
         out,
@@ -273,12 +271,11 @@ def _add_common(parser, *, tgt_required=True, with_out=False):
 
 
 def _add_run_flags(parser, *, with_out):
-    """The flags every command takes: --seed, --config, -v, and --out when
-    ``with_out`` names an output directory."""
+    """The flags every command takes: --seed, -v, and --out when ``with_out``
+    names an output directory."""
     parser.add_argument("--seed", type=int, default=42,
                         help="random seed; only `fixture` draws random numbers, "
                              "the other commands accept it for uniform scripts")
-    parser.add_argument("--config", default=None, help="key=value defaults file")
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log each stage's progress to stderr at DEBUG")
     if with_out:
@@ -371,62 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-BOOL_KEYS = {"self-learning", "self_learning", "cross", "verbose"}
-TRUE_WORDS = {"1", "true", "yes", "on"}
-FALSE_WORDS = {"0", "false", "no", "off"}
-
-
-def _load_config_args(path) -> list[str]:
-    if not os.path.exists(path):
-        raise UsageError(f"--config path does not exist: {path}")
-    flags: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{line_no}: expected key=value")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            flag = "--" + key.replace("_", "-")
-            if flag == "--config":
-                raise UsageError(f"{path}:{line_no}: a config file cannot name another config")
-            if key in BOOL_KEYS:
-                if value.lower() in TRUE_WORDS:
-                    flags.append(flag)
-                elif value.lower() not in FALSE_WORDS:
-                    raise UsageError(f"{path}:{line_no}: boolean key {key} needs true/false")
-            else:
-                flags.extend([flag, value])
-    return flags
-
-
-def _apply_config(argv: list[str]) -> list[str]:
-    """Splice config-file defaults in ahead of explicit flags."""
-    argv = [part for arg in argv
-            for part in (arg.split("=", 1) if arg.startswith("--config=") else [arg])]
-    if "--config" not in argv:
-        return argv
-    if argv.count("--config") > 1:
-        raise UsageError("--config may be given only once")
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise UsageError("--config needs a file path")
-    defaults = _load_config_args(argv[i + 1])
-    rest = argv[:i] + argv[i + 2:]
-    lead = 0
-    while lead < len(rest) and not rest[lead].startswith("-"):
-        lead += 1
-    return rest[:lead] + defaults + rest[lead:]
-
-
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     logger = logging.getLogger("meemi")
     handler, level = logging.StreamHandler(sys.stderr), logger.level
     try:
-        args = build_parser().parse_args(_apply_config(argv))
+        args = build_parser().parse_args(argv)
         if args.verbose:
             handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
             logger.addHandler(handler)

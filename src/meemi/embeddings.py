@@ -256,6 +256,18 @@ def _parse_row(fields, width: int | None, raw: str, path, line_no: int, token=No
     return comps
 
 
+def _numbered_lines(path):
+    """``(line_no, raw)`` for each line of the UTF-8 text file at ``path``, from 1.
+    Bytes that are not UTF-8 are an error naming the file and the last line read."""
+    line_no = 0
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for line_no, raw in enumerate(fh, start=1):
+                yield line_no, raw
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: not UTF-8 text after line {line_no}") from None
+
+
 def _require_line_end(raw: str, path, line_no: int) -> None:
     """Reject a final line with no newline: the writers end every line, so the file was cut."""
     if not raw.endswith("\n"):
@@ -344,28 +356,25 @@ def load_space(path, limit: int | None = None) -> EmbeddingSpace:
     duplicates = 0
     count: int | None = None
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
-        line_no = 0
-        for raw in fh:
-            line_no += 1
-            parts = raw.split()
-            if not parts:
-                continue
-            if line_no == 1 and _is_header(parts, 2):
-                count, dim = int(parts[0]), int(parts[1])
-                continue
-            token = parts[0]
-            comps = _parse_row(parts[1:], dim, raw, path, line_no, token)
-            if not comps.any():
-                raise ValueError(f"{path}:{line_no}: all-zero vector for token {token!r}")
-            if dim is None:
-                dim = len(comps)
-            if token in rows:
-                duplicates += 1
-                continue
-            rows[token] = comps
-            if limit is not None and len(rows) >= limit:
-                break
+    for line_no, raw in _numbered_lines(path):
+        parts = raw.split()
+        if not parts:
+            continue
+        if line_no == 1 and _is_header(parts, 2):
+            count, dim = int(parts[0]), int(parts[1])
+            continue
+        token = parts[0]
+        comps = _parse_row(parts[1:], dim, raw, path, line_no, token)
+        if not comps.any():
+            raise ValueError(f"{path}:{line_no}: all-zero vector for token {token!r}")
+        if dim is None:
+            dim = len(comps)
+        if token in rows:
+            duplicates += 1
+            continue
+        rows[token] = comps
+        if limit is not None and len(rows) >= limit:
+            break
     if limit is None and count is not None and len(rows) + duplicates != count:
         raise ValueError(
             f"{path}:{line_no}: header declares {count} rows, found {len(rows) + duplicates}"

@@ -1,10 +1,11 @@
 """Deterministic synthetic benchmarks for tests and acceptance runs.
 
-Every generator is a pure function of its seed: the same spec always
-produces bit-identical arrays. Base vectors are Gaussian rather than
-sampled from real embeddings so full-rank constructions are guaranteed
-and assertions stay distribution-free. Noise, when requested, is applied
-post-rotation in the target space only, modeling a second space that
+Every generator is a pure function of its seed: the same spec produces
+bit-identical arrays under one numpy and OpenBLAS build and BLAS thread
+count, since rotations go through LAPACK and BLAS. Base vectors are Gaussian
+rather than sampled from real embeddings so full-rank constructions are
+guaranteed and assertions stay distribution-free. Noise, when requested, is
+applied post-rotation in the target space only, modeling a second space that
 deviates from an exact isometric copy of the first.
 """
 

@@ -13,7 +13,7 @@ from itertools import compress
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _require_line_end
+from .embeddings import EmbeddingSpace, _numbered_lines, _require_line_end
 
 
 @dataclass
@@ -57,12 +57,11 @@ def _content(raw: str) -> str | None:
 
 
 def _content_lines(path):
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = _content(raw)
-            if line is not None:
-                _require_line_end(raw, path, line_no)
-                yield line_no, line
+    for line_no, raw in _numbered_lines(path):
+        line = _content(raw)
+        if line is not None:
+            _require_line_end(raw, path, line_no)
+            yield line_no, line
 
 
 def _hypernym_fields(line: str) -> list[str]:

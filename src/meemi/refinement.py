@@ -21,7 +21,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .alignment import AlignedPair, pair_cosines
-from .embeddings import _require_line_end
+from .embeddings import _numbered_lines, _require_line_end
 from .lexicon import BilingualLexicon, resolve_rows
 from .solvers import LinearMap, apply_map, fit_least_squares, load_map, save_map
 
@@ -127,9 +127,8 @@ def save_meemi(model: MeemiModel, manifest_path) -> None:
 def load_meemi(manifest_path) -> MeemiModel:
     path = os.fspath(manifest_path)
     base = os.path.dirname(path)
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.readlines()
-    lines = [(line_no, line.strip()) for line_no, line in enumerate(raw, start=1) if line.strip()]
+    numbered = list(_numbered_lines(path))
+    lines = [(line_no, raw.strip()) for line_no, raw in numbered if raw.strip()]
     if len(lines) != 3:
         raise ValueError(f"{path}: expected 3 manifest lines, found {len(lines)}")
     (_, src_name), (_, tgt_name), (count_line, count_text) = lines
@@ -137,7 +136,7 @@ def load_meemi(manifest_path) -> MeemiModel:
         count = int(count_text)
     except ValueError:
         raise ValueError(f"{path}:{count_line}: train pair count must be an integer") from None
-    _require_line_end(raw[-1], path, len(raw))
+    _require_line_end(numbered[-1][1], path, len(numbered))
     return MeemiModel(
         map_src=load_map(os.path.join(base, src_name)),
         map_tgt=load_map(os.path.join(base, tgt_name)),

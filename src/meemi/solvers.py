@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, _checked_matrix, _is_header, _parse_row, _write_rows
+from .embeddings import (EmbeddingSpace, _checked_matrix, _is_header, _numbered_lines,
+                         _parse_row, _write_rows)
 
 ORTHOGONALITY_TOL = 1e-8
 
@@ -102,20 +103,20 @@ def save_map(linear_map: LinearMap, path) -> None:
 
 
 def load_map(path) -> LinearMap:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if not _is_header(header, 3):
-            raise ValueError(f"{path}:1: expected header '<d_in> <d_out> <orthogonal:0|1>'")
-        d_in, d_out, flag = (int(p) for p in header)
-        if flag not in (0, 1):
-            raise ValueError(f"{path}:1: orthogonal flag must be 0 or 1, got {flag}")
-        if not d_in or not d_out:
-            raise ValueError(f"{path}:1: map dimensions must be positive, got {d_in}x{d_out}")
-        rows = []
-        for line_no, raw in enumerate(fh, start=2):
-            parts = raw.split()
-            if parts:
-                rows.append(_parse_row(parts, d_out, raw, path, line_no))
+    lines = _numbered_lines(path)
+    header = next(lines, (1, ""))[1].split()
+    if not _is_header(header, 3):
+        raise ValueError(f"{path}:1: expected header '<d_in> <d_out> <orthogonal:0|1>'")
+    d_in, d_out, flag = (int(p) for p in header)
+    if flag not in (0, 1):
+        raise ValueError(f"{path}:1: orthogonal flag must be 0 or 1, got {flag}")
+    if not d_in or not d_out:
+        raise ValueError(f"{path}:1: map dimensions must be positive, got {d_in}x{d_out}")
+    rows = []
+    for line_no, raw in lines:
+        parts = raw.split()
+        if parts:
+            rows.append(_parse_row(parts, d_out, raw, path, line_no))
     if len(rows) != d_in:
         raise ValueError(f"{path}: expected {d_in} matrix rows, found {len(rows)}")
     try:

@@ -13,7 +13,7 @@ import pytest
 import meemi
 from meemi import embeddings
 from meemi.alignment import align_supervised
-from meemi.cli import BOOL_KEYS, _count, build_parser, main
+from meemi.cli import _count, build_parser, main
 from meemi.embeddings import EmbeddingSpace, load_space, save_space
 from meemi.evaluation import DEFAULT_HYPERNYM_K, RETRIEVAL_MODES, eval_bli, eval_hypernyms
 from meemi.lexicon import load_lexicon
@@ -422,109 +422,38 @@ class TestLimit:
         assert "coverage 0.5000" in capsys.readouterr().out.splitlines()
 
 
-class TestConfigFile:
-    def test_config_supplies_defaults_flags_override(self, rotated_files, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text(
-            f"src={rotated_files['src']}\n"
-            f"tgt={rotated_files['tgt']}\n"
-            f"dict={rotated_files['dict']}\n"
-            "max-iter=7\n"
-        )
-        code = main(
-            ["align", "--config", str(config), "--out", str(tmp_path / "out")]
-        )
-        assert code == 0
-        assert (tmp_path / "out" / "alignment.map").exists()
+@pytest.mark.parametrize("command, extra", [
+    ("inspect", ["--lim", "2"]),
+    ("inspect", ["--lim=2"]),
+    ("eval bli", ["--csls", "2"]),
+    ("inspect", ["--config", "run.cfg"]),
+], ids=["abbreviated", "abbreviated-equals", "abbreviated-nested", "config"])
+def test_unknown_or_abbreviated_flag_is_usage_error(rotated_files, capsys, command, extra):
+    # allow_abbrev=False on every parser: no prefix of a flag stands for the flag
+    base = {
+        "inspect": ["inspect", "src00003", "--src", str(rotated_files["src"])],
+        "eval bli": ["eval", "bli", "--src", str(rotated_files["src"]),
+                     "--tgt", str(rotated_files["tgt"]), "--test", str(rotated_files["dict"])],
+    }[command]
+    assert main(base + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments" in captured.err
 
-    def test_equals_form_matches_separate_form(self, rotated_files, tmp_path, capsys):
-        config = tmp_path / "run.cfg"
-        config.write_text("k=1\n")
-        outs = []
-        for form in (["--config", str(config)], [f"--config={config}"]):
-            code = main(["inspect", "src00003", "--src", str(rotated_files["src"]), *form])
-            assert code == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
-        assert len(outs[0].splitlines()) == 1
 
-    @pytest.mark.parametrize("form", [["--conf", "{cfg}"], ["--confi={cfg}"]])
-    def test_abbreviated_config_flag_is_usage_error(self, rotated_files, tmp_path, capsys, form):
-        config = tmp_path / "run.cfg"
-        config.write_text("k=1\n")
-        base = ["inspect", "src00003", "--src", str(rotated_files["src"])]
-        assert main(base + [part.format(cfg=config) for part in form]) == 2
-        assert capsys.readouterr().out == ""
-        assert main(base + ["--config", str(config)]) == 0
-        assert len(capsys.readouterr().out.splitlines()) == 1
-
-    def test_repeated_config_flag_is_usage_error(self, rotated_files, tmp_path, capsys):
-        one, three = tmp_path / "a.cfg", tmp_path / "b.cfg"
-        one.write_text("k=1\n")
-        three.write_text("k=3\n")
-        base = ["inspect", "src00003", "--src", str(rotated_files["src"])]
-        for form in (["--config", str(three), "--config", str(one)],
-                     [f"--config={three}", "--config", str(one)]):
-            assert main(base + form) == 2
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert "--config may be given only once" in captured.err
-
-    def test_bool_keys_are_the_store_true_flags(self):
-        # a config key in BOOL_KEYS becomes a bare flag, every other key a flag and a value
-        flags, parsers = set(), [build_parser()]
-        while parsers:
-            for action in parsers.pop()._actions:
-                if isinstance(action, argparse._SubParsersAction):
-                    parsers.extend(action.choices.values())
-                elif isinstance(action, argparse._StoreTrueAction):
-                    flags.update(f[2:] for f in action.option_strings if f.startswith("--"))
-        assert flags
-        assert BOOL_KEYS == flags | {flag.replace("-", "_") for flag in flags}
-
-    def test_boolean_values(self, rotated_files, tmp_path, capsys):
-        config = tmp_path / "c2"
-        config.write_text("self-learning=yes\nmax_iter=2\n")
-        assert run_align(rotated_files, tmp_path / "out", ["--config", str(config)]) == 0
-        assert "iterations 2" in capsys.readouterr().out
-        config.write_text("verbose=off\n")
-        assert main(["inspect", "src00003", "--src", str(rotated_files["src"]),
-                     "--config", str(config)]) == 0
-        assert capsys.readouterr().err == ""
-        config.write_text("self-learning=maybe\n")
-        assert run_align(rotated_files, tmp_path / "out", ["--config", str(config)]) == 2
-        assert "c2:1: boolean key self-learning needs true/false" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("key", ["config", " config "])
-    def test_config_naming_a_config_is_usage_error(self, rotated_files, tmp_path, capsys, key):
-        inner, outer = tmp_path / "c2", tmp_path / "c1"
-        inner.write_text("k=2\n")
-        outer.write_text(f"# defaults\n{key}={inner}\n")
-        assert main(["inspect", "src00003", "--src", str(rotated_files["src"]),
-                     "--config", str(outer)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"{outer}:2: a config file cannot name another config" in captured.err
-
-    def test_bad_config_line_is_usage_error(self, tmp_path):
-        config = tmp_path / "run.cfg"
-        config.write_text("not a key value line\n")
-        code = main(["align", "--config", str(config), "--out", str(tmp_path / "o")])
-        assert code == 2
-
-    @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
-    def test_unreadable_config_is_data_error(self, rotated_files, tmp_path, capsys, kind):
-        # the config exists, so it is no usage error, but it cannot be read as text
-        config = tmp_path / "run.cfg"
-        if kind == "directory":
-            config.mkdir()
-        else:
-            config.write_bytes(b"k=\xff\xfe\n")
-        assert main(["inspect", "src00003", "--src", str(rotated_files["src"]),
-                     "--config", str(config)]) == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+@pytest.mark.parametrize("kind", ["directory", "not utf-8"])
+def test_unreadable_src_is_data_error(tmp_path, capsys, kind):
+    # the path exists, so it is no usage error, but it cannot be read as text
+    src = tmp_path / "bad.vec"
+    if kind == "directory":
+        src.mkdir()
+    else:
+        src.write_bytes(b"2 2\nw\xff 1.0 0.5\nv 0.5 1.0\n")
+    assert main(["inspect", "w", "--src", str(src)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert str(src) in captured.err
 
 
 class TestFixtureCommand:

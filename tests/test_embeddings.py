@@ -20,6 +20,8 @@ from meemi.embeddings import (
     normalize_unit,
     save_space,
 )
+from meemi.lexicon import load_hypernyms, load_lexicon, load_similarity
+from meemi.refinement import load_meemi
 from meemi.solvers import LinearMap, load_map, save_map
 
 
@@ -207,6 +209,32 @@ class TestLoad:
         save_space(space, path)
         path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
         assert same_space(load_space(path), space)
+
+
+@pytest.mark.parametrize("load, head", [
+    (load_space, b"2 2\nw 1.0 0.5\n"),
+    (load_map, b"2 2 0\n1.0 0.0\n"),
+    (load_lexicon, b"dog perro\n"),
+    (load_similarity, b"cat dog 7.25\n"),
+    (load_hypernyms, b"cat\tanimal\n"),
+    (load_meemi, b"m.src.map\nm.tgt.map\n"),
+], ids=["load_space", "load_map", "load_lexicon", "load_similarity", "load_hypernyms",
+        "load_meemi"])
+def test_non_utf8_file_is_an_error_naming_it(tmp_path, load, head):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(head + b"x\xff 1.0 0.5\n")
+    with pytest.raises(ValueError, match="not UTF-8 text after line 0") as info:
+        load(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
+def test_non_utf8_error_names_a_line_before_the_bad_byte(tmp_path):
+    # text is decoded in chunks, so the line named is the last one read before the bad chunk
+    path = tmp_path / "bad.dict"
+    path.write_bytes(b"dog perro\n" * 5000 + b"x\xff y\n")
+    with pytest.raises(ValueError, match=r"not UTF-8 text after line \d+$") as info:
+        load_lexicon(path)
+    assert 0 < int(str(info.value).rsplit(" ", 1)[1]) <= 5000
 
 
 class TestSave:
