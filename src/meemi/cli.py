@@ -2,9 +2,9 @@
 
 Exit codes: 0 success, 1 runtime or data error, 2 usage error. Every
 command accepts ``-v/--verbose``, which logs each stage's progress to stderr
-at DEBUG; stdout is the same with or without it. All randomness flows from
-``--seed``, so identical inputs and seed produce byte-identical output
-files under the same numpy and OpenBLAS build and BLAS thread count.
+at DEBUG; stdout is the same with or without it. Output files are a function
+of the input files alone, or for ``fixture`` (the one command with ``--seed``)
+of its flags and seed, for one numpy and OpenBLAS build and BLAS thread count.
 
 Count flags (``--limit``, ``--k``, ``--csls-k``, ``--cap``, ``--max-iter``,
 ``--vocab``, ``--dim``) below 1, ``--tol`` at or below 0 and ``--sigma``
@@ -263,23 +263,16 @@ def cmd_fixture(args) -> int:
     return 0
 
 
-def _add_common(parser, *, tgt_required=True, with_out=False):
+def _add_common(parser, *, tgt_required=True):
     parser.add_argument("--src", required=True, help="source embedding file (.vec)")
     parser.add_argument("--tgt", required=tgt_required, default=None, help="target embedding file")
     parser.add_argument("--limit", type=_count, default=None, help="max vocabulary per space")
-    _add_run_flags(parser, with_out=with_out)
+    _add_verbose(parser)
 
 
-def _add_run_flags(parser, *, with_out):
-    """The flags every command takes: --seed, -v, and --out when ``with_out``
-    names an output directory."""
-    parser.add_argument("--seed", type=int, default=42,
-                        help="random seed; only `fixture` draws random numbers, "
-                             "the other commands accept it for uniform scripts")
+def _add_verbose(parser):  # the one flag every command takes
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log each stage's progress to stderr at DEBUG")
-    if with_out:
-        parser.add_argument("--out", required=True, help="output directory")
 
 
 def _add_retrieval(parser):
@@ -301,7 +294,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("align", help="supervised orthogonal alignment", allow_abbrev=False)
-    _add_common(p, with_out=True)
+    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dict", required=True, help="training dictionary")
     p.add_argument("--self-learning", action="store_true", dest="self_learning")
     p.add_argument("--max-iter", type=_count, default=50, dest="max_iter")
@@ -310,7 +304,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("refine", help="meeting-in-the-middle refinement", allow_abbrev=False)
-    _add_common(p, with_out=True)
+    _add_common(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dict", required=True, help="training dictionary")
     p.add_argument("--map", default=None, help="alignment map file (optional)")
     p.set_defaults(func=cmd_refine)
@@ -362,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=_count, default=50)
     p.add_argument("--sigma", type=_number_type(float, lambda v: 0 <= v < float("inf"),
                                                 "finite and at least 0"), default=0.0)
-    _add_run_flags(p, with_out=True)
+    p.add_argument("--seed", type=int, default=42, help="seed of the generated data")
+    _add_verbose(p)
+    p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_fixture)
 
     return parser

@@ -39,6 +39,7 @@ import functools
 import hashlib
 import logging
 import os
+import re
 import signal
 import tempfile
 import zipfile
@@ -258,14 +259,15 @@ def _parse_row(fields, width: int | None, raw: str, path, line_no: int, token=No
 
 def _numbered_lines(path):
     """``(line_no, raw)`` for each line of the UTF-8 text file at ``path``, from 1.
-    Bytes that are not UTF-8 are an error naming the file and the last line read."""
-    line_no = 0
-    with open(path, encoding="utf-8") as fh:
-        try:
-            for line_no, raw in enumerate(fh, start=1):
-                yield line_no, raw
-        except UnicodeDecodeError:
-            raise ValueError(f"{path}: not UTF-8 text after line {line_no}") from None
+    Bytes that are not UTF-8 are an error naming the file and the first one's line."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        # text is decoded ahead in blocks, so re-read it with each bad byte as U+DC80-U+DCFF
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+            bad = next(n for n, raw in enumerate(fh, start=1) if re.search("[\udc80-\udcff]", raw))
+        raise ValueError(f"{path}:{bad}: not UTF-8 text") from None
 
 
 def _require_line_end(raw: str, path, line_no: int) -> None:

@@ -72,8 +72,8 @@ def _stable_topk(scores: np.ndarray, k: int) -> np.ndarray:
     All rows' candidates go through one sort, by row and then by descending
     score; each row keeps its first k, however many tie at the k-th value.
     """
-    n = scores.shape[1]
-    rows, cols = np.nonzero(scores >= np.partition(scores, n - k, axis=1)[:, n - k, None])
+    kth = np.partition(scores, -k, axis=1)[:, -k, None]
+    rows, cols = np.divmod(np.flatnonzero(scores >= kth), scores.shape[1])  # as np.nonzero
     order = np.lexsort((-scores[rows, cols], rows))
     starts = np.searchsorted(rows, np.arange(scores.shape[0]))
     return cols[order][starts[:, None] + np.arange(k)]
@@ -96,8 +96,6 @@ def build_index(
     rows of ``source_space`` when given, else of the target space itself
     (excluding the row's own self-similarity).
     """
-    if len(space) == 0:
-        raise ValueError("cannot index an empty space")
     if csls_k < 1:
         raise ValueError(f"csls_k must be positive, got {csls_k}")
     if csls_k >= len(space):
@@ -120,8 +118,8 @@ def build_index(
 
 
 def _search(queries, target_rows: np.ndarray, k: int, score=None) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k of every query row against unit ``target_rows`` by cosine, or by
-    ``score(cos)`` of each chunk's cosine block; returns (indexes, scores)."""
+    """Top-k of every query row against unit ``target_rows`` by cosine, or by the
+    scores ``score(cos)`` writes over each chunk's cosine block; returns (indexes, scores)."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     k = min(k, len(target_rows))
@@ -133,7 +131,7 @@ def _search(queries, target_rows: np.ndarray, k: int, score=None) -> tuple[np.nd
     top = np.empty((queries.shape[0], k), dtype=np.float64)
     def reduce(start, stop, sims):
         if score is not None:
-            sims = score(sims)
+            score(sims)
         idx[start:stop] = _stable_topk(sims, k)
         top[start:stop] = np.take_along_axis(sims, idx[start:stop], axis=1)
     _score_reduce(unit_rows(queries, "query"), target_rows.T, reduce)
@@ -156,5 +154,7 @@ def batch_csls_topk(
     """
     def csls(cos):
         r_query = _mean_topk(cos.copy(), index.csls_k)
-        return 2.0 * cos - r_query[:, None] - index.csls_density[None, :]
+        cos *= 2.0
+        cos -= r_query[:, None]
+        cos -= index.csls_density[None, :]
     return _search(queries, index.space.matrix, k, csls)

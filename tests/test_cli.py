@@ -441,6 +441,33 @@ def test_unknown_or_abbreviated_flag_is_usage_error(rotated_files, capsys, comma
     assert "unrecognized arguments" in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    "align", "refine", "induce", "eval bli", "eval sim", "eval hyper", "inspect"])
+def test_only_fixture_takes_seed(rotated_files, tmp_path, capsys, command):
+    # nothing but the fixtures draws random numbers; rotated_files ran `fixture --seed 42`
+    src, tgt, lexicon = (str(rotated_files[key]) for key in ("src", "tgt", "dict"))
+    sim, hyper = tmp_path / "sim.txt", tmp_path / "hyper.tsv"
+    sim.write_text("src00001 src00002 1.0\nsrc00003 src00004 2.0\nsrc00005 src00006 3.0\n")
+    hyper.write_text("".join(f"src{i:05d}\tsrc{i + 1:05d}\n" for i in range(20)))
+    out = str(tmp_path / "out")
+    argv = {
+        "align": ["align", "--src", src, "--tgt", tgt, "--dict", lexicon, "--out", out],
+        "refine": ["refine", "--src", src, "--tgt", tgt, "--dict", lexicon, "--out", out],
+        "induce": ["induce", "--src", src, "--tgt", tgt, "--out", out],
+        "eval bli": ["eval", "bli", "--src", src, "--tgt", tgt, "--test", lexicon],
+        "eval sim": ["eval", "sim", "--src", src, "--dataset", str(sim)],
+        "eval hyper": ["eval", "hyper", "--src", src, "--train", str(hyper),
+                       "--test", str(hyper)],
+        "inspect": ["inspect", "src00003", "--src", src],
+    }[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main(argv + ["--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --seed 1" in captured.err
+
+
 @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
 def test_unreadable_src_is_data_error(tmp_path, capsys, kind):
     # the path exists, so it is no usage error, but it cannot be read as text

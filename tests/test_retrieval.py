@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meemi.embeddings import EmbeddingSpace
+from meemi.embeddings import EmbeddingSpace, unit_rows
 from meemi.retrieval import (
+    CHUNK_ROWS,
+    _mean_topk,
     _stable_topk,
     batch_cosine_topk,
     batch_csls_topk,
@@ -221,6 +223,21 @@ class TestKnnCsls:
             expected = oracle_csls_ranking(matrix, query, csls_k=3)
             got = [space.vocab.index(t) for t, _ in csls_ranked(index, query, k=20)]
             assert got == expected
+
+    def test_scores_are_the_csls_expression_bit_for_bit(self):
+        # the kernel rewrites each chunk's cosine block in place; a block of the same
+        # shape has the same bits, so 2 cos - r_T - r_S over it must match exactly
+        rng = np.random.default_rng(8)
+        index = build_index(space_from(rng.standard_normal((700, 16))), csls_k=10)
+        queries = rng.standard_normal((300, 16))
+        idx, scores = batch_csls_topk(index, queries, k=7)
+        for start in range(0, len(queries), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            cos = unit_rows(queries)[rows] @ index.space.matrix.T
+            r_t = _mean_topk(cos.copy(), index.csls_k)
+            expected = 2.0 * cos - r_t[:, None] - index.csls_density[None, :]
+            assert np.array_equal(idx[rows], _stable_topk(expected, 7))
+            assert np.array_equal(scores[rows], np.take_along_axis(expected, idx[rows], axis=1))
 
     def test_symmetric_with_cross_registered_densities(self):
         rng = np.random.default_rng(6)
