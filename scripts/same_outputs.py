@@ -14,7 +14,9 @@ with and without ``os.fork`` are compared with each other too. Both trees
 run under this process's environment, and the line ends with its BLAS
 thread settings (``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``, or
 ``unset``): outputs are byte-identical only for one numpy and OpenBLAS
-build and one BLAS thread count.
+build and one BLAS thread count. The last line, whether the trees match or
+not, also gives both trees' line counts of ``src/meemi/*.py`` (the total of
+``wc -l``) as ``src/meemi <ref> -> <working tree> lines``.
 
 The list builds the three fixtures, then runs ``align`` (plain, with
 self-learning, with ``--limit``), ``refine`` (with ``--map`` and on the
@@ -206,6 +208,11 @@ def differences(a: dict, b: dict, label: str) -> list[str]:
     return found
 
 
+def meemi_lines(tree: Path) -> int:
+    """The total ``wc -l`` gives for ``tree``'s ``src/meemi/*.py``: its newlines."""
+    return sum(path.read_bytes().count(b"\n") for path in (tree / "src" / "meemi").glob("*.py"))
+
+
 def unpack(ref: str, into: Path) -> Path:
     archive = subprocess.run(["git", "archive", ref], cwd=ROOT, stdout=subprocess.PIPE, check=True)
     with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
@@ -236,6 +243,7 @@ def main() -> int:
             return 2
         ref = run_tree(ref_tree, tmp / "ref", args.tiny)
         here = run_tree(ROOT, tmp / "here", args.tiny)
+        lines = f"src/meemi {meemi_lines(ref_tree)} -> {meemi_lines(ROOT)} lines"
     found = [line for mode in MODES
              for line in differences(ref[mode], here[mode], f"{mode} {args.ref}->working tree")]
     found += differences(here["fork"], here["nofork"], "working tree fork->nofork")
@@ -244,12 +252,12 @@ def main() -> int:
     count = len(here["fork"]["commands"])
     paths = len(here["fork"]["files"])
     if found:
-        print(f"same_outputs: {len(found)} differences against {args.ref}")
+        print(f"same_outputs: {len(found)} differences against {args.ref}; {lines}")
         return 1
     threads = " ".join(f"{name}={os.environ.get(name, 'unset')}" for name in BLAS_THREAD_VARS)
     print(f"same_outputs: identical to {args.ref}: {count} commands, {paths} paths, exit codes, "
           f"stdout and stderr, with os.fork ({here['fork']['forks']} forks) and without, "
-          f"under {threads}")
+          f"under {threads}; {lines}")
     return 0
 
 

@@ -1,14 +1,16 @@
 """Command-line front end: align, refine, induce, eval, inspect, fixture.
 
-Exit codes: 0 success, 1 runtime or data error, 2 usage error. Every
+Exit codes: 0 success, 1 runtime or data error (``error: ...``), 2 usage
+error (argparse's: the subcommand's usage, then ``meemi <cmd>: error: ...``,
+for an unknown flag, a bad value or a missing input file). Every
 command accepts ``-v/--verbose``, which logs each stage's progress to stderr
 at DEBUG; stdout is the same with or without it. Output files are a function
 of the input files alone, or for ``fixture`` (the one command with ``--seed``)
 of its flags and seed, for one numpy and OpenBLAS build and BLAS thread count.
 
-Count flags (``--limit``, ``--k``, ``--csls-k``, ``--cap``, ``--max-iter``,
-``--vocab``, ``--dim``) below 1, ``--tol`` at or below 0 and ``--sigma``
-below 0 or not finite (NaN included) are usage errors.
+Count flags (``--limit``, each rank of ``--k``, ``--csls-k``, ``--cap``,
+``--max-iter``, ``--vocab``, ``--dim``) below 1, ``--tol`` at or below 0 and
+``--sigma`` below 0 or not finite (NaN included) are usage errors.
 
 ``align``, ``refine`` and ``fixture`` make their ``--out`` directory only
 once their results are computed, and write the output files through
@@ -26,12 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .alignment import (
-    AlignedPair,
-    AlignmentConfig,
-    align_supervised,
-    induce_dictionary,
-)
+from .alignment import AlignedPair, AlignmentConfig, align_supervised, induce_dictionary
 from .embeddings import _run_forked, load_space, save_space
 from .evaluation import (
     DEFAULT_HYPERNYM_K,
@@ -56,18 +53,6 @@ from .retrieval import DEFAULT_CSLS_K
 from .solvers import LinearMap, load_map, save_map
 
 
-class UsageError(Exception):
-    """Bad arguments or missing input files; maps to exit code 2."""
-
-
-def _require_paths(args) -> None:
-    """Raise UsageError for the first input path flag given that does not exist."""
-    for flag in ("src", "tgt", "dict", "map", "test", "train", "dataset"):
-        path = getattr(args, flag, None)
-        if path is not None and not os.path.exists(path):
-            raise UsageError(f"--{flag} path does not exist: {path}")
-
-
 def _write(out: Path, *writers) -> None:
     """Make the ``--out`` directory, then call the writers through ``_run_forked``."""
     out.mkdir(parents=True, exist_ok=True)
@@ -82,16 +67,6 @@ def _load_pair(src, tgt, limit=None, map_path=None) -> AlignedPair:
         load_map(map_path) if map_path else LinearMap(np.eye(src_space.dim), orthogonal=True)
     )
     return AlignedPair(src_space, tgt_space, alignment_map, iterations_run=0)
-
-
-def _parse_ks(raw: str) -> tuple[int, ...]:
-    try:
-        ks = tuple(int(part) for part in raw.split(",") if part.strip())
-    except ValueError:
-        raise UsageError(f"--k expects integers like '1,5,10', got {raw!r}") from None
-    if not ks or min(ks) < 1:
-        raise UsageError("--k ranks must be positive")
-    return ks
 
 
 def _number_type(cast, check, wanted: str):
@@ -112,9 +87,19 @@ def _number_type(cast, check, wanted: str):
 _count = _number_type(int, lambda v: v >= 1, "at least 1")  # every integer flag but --seed
 
 
+def _ranks(raw: str) -> tuple[int, ...]:  # eval bli's --k: a comma list of counts
+    return tuple(_count(part) for part in raw.split(","))
+
+
+def _path(raw: str) -> str:  # every input file flag: the path must exist
+    if not os.path.exists(raw):
+        raise argparse.ArgumentTypeError(f"path does not exist: {raw}")
+    return raw
+
+
 def _emit_report(report, args) -> None:
     print(report.to_tsv() if args.format == "tsv" else report.to_text())
-    if getattr(args, "out", None):
+    if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(report.to_tsv() + "\n")
 
@@ -177,7 +162,7 @@ def cmd_eval_bli(args) -> int:
         pair,
         load_lexicon(args.test),
         retrieval=args.retrieval,
-        ks=_parse_ks(args.k),
+        ks=args.k,
         csls_k=args.csls_k,
         dataset=Path(args.test).name,
     )
@@ -187,7 +172,7 @@ def cmd_eval_bli(args) -> int:
 
 def cmd_eval_sim(args) -> int:
     if args.cross != bool(args.tgt):
-        raise UsageError("--cross requires --tgt" if args.cross else "--tgt requires --cross")
+        args.parser.error("--cross requires --tgt" if args.cross else "--tgt requires --cross")
     space_a = load_space(args.src, args.limit)
     space_b = load_space(args.tgt, args.limit) if args.cross else space_a
     report = eval_similarity(
@@ -264,8 +249,8 @@ def cmd_fixture(args) -> int:
 
 
 def _add_common(parser, *, tgt_required=True):
-    parser.add_argument("--src", required=True, help="source embedding file (.vec)")
-    parser.add_argument("--tgt", required=tgt_required, default=None, help="target embedding file")
+    parser.add_argument("--src", type=_path, required=True, help="source embedding file (.vec)")
+    parser.add_argument("--tgt", type=_path, required=tgt_required, help="target embedding file")
     parser.add_argument("--limit", type=_count, default=None, help="max vocabulary per space")
     _add_verbose(parser)
 
@@ -273,6 +258,7 @@ def _add_common(parser, *, tgt_required=True):
 def _add_verbose(parser):  # the one flag every command takes
     parser.add_argument("-v", "--verbose", action="store_true",
                         help="log each stage's progress to stderr at DEBUG")
+    parser.set_defaults(parser=parser)  # the leaf parser, which reports main's usage errors
 
 
 def _add_retrieval(parser):
@@ -292,28 +278,31 @@ def build_parser() -> argparse.ArgumentParser:
         allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    defaults = AlignmentConfig()  # align's and induce's flags default to the library's
 
     p = sub.add_parser("align", help="supervised orthogonal alignment", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--dict", required=True, help="training dictionary")
+    p.add_argument("--dict", type=_path, required=True, help="training dictionary")
     p.add_argument("--self-learning", action="store_true", dest="self_learning")
-    p.add_argument("--max-iter", type=_count, default=50, dest="max_iter")
-    p.add_argument("--tol", type=_number_type(float, lambda v: v > 0, "above 0"), default=1e-6)
-    p.add_argument("--cap", type=_count, default=20000, help="induction vocabulary cap")
+    p.add_argument("--max-iter", type=_count, default=defaults.max_iterations, dest="max_iter")
+    p.add_argument("--tol", type=_number_type(float, lambda v: v > 0, "above 0"),
+                   default=defaults.convergence_tol)
+    p.add_argument("--cap", type=_count, default=defaults.induction_vocab_cap,
+                   help="induction vocabulary cap")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("refine", help="meeting-in-the-middle refinement", allow_abbrev=False)
     _add_common(p)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--dict", required=True, help="training dictionary")
-    p.add_argument("--map", default=None, help="alignment map file (optional)")
+    p.add_argument("--dict", type=_path, required=True, help="training dictionary")
+    p.add_argument("--map", type=_path, default=None, help="alignment map file (optional)")
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("induce", help="write the induced nearest-neighbor dictionary",
                        allow_abbrev=False)
     _add_common(p)
-    p.add_argument("--cap", type=_count, default=20000)
+    p.add_argument("--cap", type=_count, default=defaults.induction_vocab_cap)
     p.add_argument("--out", required=True, help="output dictionary file")
     p.set_defaults(func=cmd_induce)
 
@@ -322,23 +311,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = ev_sub.add_parser("bli", help="bilingual dictionary induction P@k", allow_abbrev=False)
     _add_common(p)
-    p.add_argument("--test", required=True, help="test dictionary")
-    p.add_argument("--k", default="1,5,10", help="comma list of ranks")
+    p.add_argument("--test", type=_path, required=True, help="test dictionary")
+    p.add_argument("--k", type=_ranks, default=(1, 5, 10), help="comma list of ranks")
     _add_retrieval(p)
     _add_report(p)
     p.set_defaults(func=cmd_eval_bli)
 
     p = ev_sub.add_parser("sim", help="word-similarity correlations", allow_abbrev=False)
     _add_common(p, tgt_required=False)
-    p.add_argument("--dataset", required=True, help="w1 w2 score file")
+    p.add_argument("--dataset", type=_path, required=True, help="w1 w2 score file")
     p.add_argument("--cross", action="store_true", help="look up w2 in --tgt")
     _add_report(p)
     p.set_defaults(func=cmd_eval_sim)
 
     p = ev_sub.add_parser("hyper", help="hypernym discovery MRR/MAP/P@5", allow_abbrev=False)
     _add_common(p, tgt_required=False)
-    p.add_argument("--train", required=True, help="training tsv")
-    p.add_argument("--test", required=True, help="test tsv")
+    p.add_argument("--train", type=_path, required=True, help="training tsv")
+    p.add_argument("--test", type=_path, required=True, help="test tsv")
     p.add_argument("--k", type=_count, default=DEFAULT_HYPERNYM_K)
     _add_retrieval(p)
     _add_report(p)
@@ -369,18 +358,19 @@ def main(argv: list[str] | None = None) -> int:
     logger = logging.getLogger("meemi")
     handler, level = logging.StreamHandler(sys.stderr), logger.level
     try:
-        args = build_parser().parse_args(argv)
+        args, unknown = build_parser().parse_known_args(argv)
+        if unknown:
+            args.parser.error(f"unrecognized arguments: {' '.join(unknown)}")
         if args.verbose:
             handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
             logger.addHandler(handler)
             logger.setLevel(logging.DEBUG)
-        _require_paths(args)
         return args.func(args)
     except SystemExit as exc:  # argparse's usage errors, --help
         return exc.code if isinstance(exc.code, int) else 2
-    except (UsageError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, UsageError) else 1
+        return 1
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)

@@ -165,6 +165,8 @@ def eval_similarity(
     ``pearsonr`` and ``spearmanr`` bit for bit. Triples with an
     unresolvable token or a zero vector are skipped and counted.
     """
+    if space_a.dim != space_b.dim:
+        raise ValueError(f"dimension mismatch: first space {space_a.dim} vs second {space_b.dim}")
     rows_a = space_a.rows_of([w1 for w1, _, _ in dataset.triples])
     rows_b = space_b.rows_of([w2 for _, w2, _ in dataset.triples])
     kept = (rows_a >= 0) & (rows_b >= 0)

@@ -12,8 +12,8 @@ import pytest
 
 import meemi
 from meemi import embeddings
-from meemi.alignment import align_supervised
-from meemi.cli import _count, build_parser, main
+from meemi.alignment import AlignmentConfig, align_supervised
+from meemi.cli import _count, _path, _ranks, build_parser, main
 from meemi.embeddings import EmbeddingSpace, load_space, save_space
 from meemi.evaluation import DEFAULT_HYPERNYM_K, RETRIEVAL_MODES, eval_bli, eval_hypernyms
 from meemi.lexicon import load_lexicon
@@ -49,6 +49,17 @@ def run_align(paths, out, extra=()):
             *extra,
         ]
     )
+
+
+def usage_error(captured, command):
+    """The message of argparse's report of a usage error in ``meemi <command>``,
+    once it is checked that stdout is empty and stderr opens with the usage
+    line of that command and ends with its ``error:`` line."""
+    assert captured.out == ""
+    assert captured.err.startswith(f"usage: meemi {command} [-h] ")
+    prefix = f"\nmeemi {command}: error: "
+    assert prefix in captured.err and captured.err.endswith("\n")
+    return captured.err.split(prefix)[-1][:-1]
 
 
 class TestAlign:
@@ -291,7 +302,7 @@ class TestEval:
         out = capsys.readouterr().out
         assert "pearson_r" in out and "spearman_rho" in out
 
-    def test_sim_cross_requires_tgt(self, tmp_path):
+    def test_sim_cross_requires_tgt(self, tmp_path, capsys):
         vec = tmp_path / "mono.vec"
         save_space(EmbeddingSpace(["a", "b"], np.eye(2)), vec)
         data = tmp_path / "sim.txt"
@@ -300,6 +311,7 @@ class TestEval:
             ["eval", "sim", "--src", str(vec), "--dataset", str(data), "--cross"]
         )
         assert code == 2
+        assert usage_error(capsys.readouterr(), "eval sim") == "--cross requires --tgt"
 
     def test_sim_tgt_requires_cross(self, tmp_path, capsys):
         src, tgt = tmp_path / "src.vec", tmp_path / "tgt.vec"
@@ -312,8 +324,21 @@ class TestEval:
             code = main(["eval", "sim", "--src", str(src), "--tgt", str(tgt),
                          "--dataset", str(data)])
             assert code == 2
-            captured = capsys.readouterr()
-            assert captured.out == "" and "--tgt requires --cross" in captured.err
+            assert usage_error(capsys.readouterr(), "eval sim") == "--tgt requires --cross"
+
+    def test_sim_cross_names_a_dimension_mismatch(self, tmp_path, capsys):
+        src, tgt = tmp_path / "src.vec", tmp_path / "tgt.vec"
+        rng = np.random.default_rng(0)
+        save_space(EmbeddingSpace(["a", "b", "c"], rng.normal(size=(3, 10))), src)
+        save_space(EmbeddingSpace(["a", "b", "c"], rng.normal(size=(3, 12))), tgt)
+        data = tmp_path / "sim.txt"
+        data.write_text("a b 1\nb c 2\nc a 3\n")
+        code = main(["eval", "sim", "--src", str(src), "--tgt", str(tgt), "--cross",
+                     "--dataset", str(data)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: dimension mismatch: first space 10 vs second 12\n"
 
     def test_hyper(self, tmp_path, capsys):
         code = main(
@@ -348,15 +373,17 @@ class TestEval:
         assert outs[0] == outs[1]
         assert "MRR\t0.972222" in outs[0]
 
-    @pytest.mark.parametrize("ks, message", [("1,x", "--k expects integers like '1,5,10'"),
-                                             ("0,1", "--k ranks must be positive")])
+    @pytest.mark.parametrize("ks, message", [
+        ("1,x", "argument --k: expected int, got 'x'"),
+        ("0,1", "argument --k: must be at least 1, got 0"),
+        ("1,,5", "argument --k: expected int, got ''"),
+    ], ids=["1,x", "0,1", "1,,5"])
     def test_bli_bad_ranks_are_usage_errors(self, rotated_files, capsys, ks, message):
         code = main(["eval", "bli", "--src", str(rotated_files["src"]),
                      "--tgt", str(rotated_files["tgt"]), "--test", str(rotated_files["dict"]),
                      "--k", ks])
         assert code == 2
-        captured = capsys.readouterr()
-        assert captured.out == "" and message in captured.err
+        assert usage_error(capsys.readouterr(), "eval bli") == message
 
 
 class TestInspect:
@@ -427,18 +454,20 @@ class TestLimit:
     ("inspect", ["--lim=2"]),
     ("eval bli", ["--csls", "2"]),
     ("inspect", ["--config", "run.cfg"]),
-], ids=["abbreviated", "abbreviated-equals", "abbreviated-nested", "config"])
-def test_unknown_or_abbreviated_flag_is_usage_error(rotated_files, capsys, command, extra):
+    ("fixture", ["--bogus", "1"]),
+], ids=["abbreviated", "abbreviated-equals", "abbreviated-nested", "config", "fixture"])
+def test_unknown_or_abbreviated_flag_is_usage_error(rotated_files, tmp_path, capsys, command,
+                                                    extra):
     # allow_abbrev=False on every parser: no prefix of a flag stands for the flag
     base = {
+        "fixture": ["fixture", "hub", "--out", str(tmp_path / "hub")],
         "inspect": ["inspect", "src00003", "--src", str(rotated_files["src"])],
         "eval bli": ["eval", "bli", "--src", str(rotated_files["src"]),
                      "--tgt", str(rotated_files["tgt"]), "--test", str(rotated_files["dict"])],
     }[command]
     assert main(base + extra) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments" in captured.err
+    assert usage_error(capsys.readouterr(), command) == (
+        f"unrecognized arguments: {' '.join(extra)}")
 
 
 @pytest.mark.parametrize("command", [
@@ -463,9 +492,8 @@ def test_only_fixture_takes_seed(rotated_files, tmp_path, capsys, command):
     assert main(argv) == 0
     capsys.readouterr()
     assert main(argv + ["--seed", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "unrecognized arguments: --seed 1" in captured.err
+    # the subcommand's usage, not the root's, which names no flag
+    assert usage_error(capsys.readouterr(), command) == "unrecognized arguments: --seed 1"
 
 
 @pytest.mark.parametrize("kind", ["directory", "not utf-8"])
@@ -535,7 +563,7 @@ def test_every_integer_flag_but_seed_is_a_count():
 
 def test_every_float_flag_rejects_nan():
     actions = [action for action in parser_actions()
-               if action.type not in (None, int, _count)]
+               if action.type not in (None, int, _count, _path, _ranks)]
     assert {flag for action in actions for flag in action.option_strings} == {"--tol", "--sigma"}
     for action in actions:
         assert isinstance(action.type(str(action.default)), float)
@@ -550,11 +578,25 @@ def test_retrieval_flags_default_to_the_library_constants():
     assert len(modes) == len(csls_ks) == 3  # eval bli, eval hyper, inspect
     assert all(action.choices == RETRIEVAL_MODES for action in modes)
     assert all(action.default == DEFAULT_CSLS_K for action in csls_ks)
-    hyper = build_parser().parse_args("eval hyper --src s --train t --test t".split())
+    here = __file__  # a path that exists
+    hyper = build_parser().parse_args(
+        ["eval", "hyper", "--src", here, "--train", here, "--test", here])
     assert hyper.k == DEFAULT_HYPERNYM_K
     for fn in (eval_bli, eval_hypernyms):
         assert inspect.signature(fn).parameters["csls_k"].default == DEFAULT_CSLS_K
     assert inspect.signature(eval_hypernyms).parameters["k"].default == DEFAULT_HYPERNYM_K
+
+
+def test_align_flags_default_to_the_alignment_config():
+    here = __file__  # a path that exists
+    parser, defaults = build_parser(), AlignmentConfig()
+    align = parser.parse_args(
+        ["align", "--src", here, "--tgt", here, "--dict", here, "--out", "out"])
+    induce = parser.parse_args(["induce", "--src", here, "--tgt", here, "--out", "out"])
+    assert (align.self_learning, align.max_iter, align.tol, align.cap) == (
+        defaults.self_learning, defaults.max_iterations, defaults.convergence_tol,
+        defaults.induction_vocab_cap)
+    assert induce.cap == defaults.induction_vocab_cap
 
 
 @pytest.mark.parametrize("argv", [
@@ -644,13 +686,20 @@ def missing_path_cases():
     return cases
 
 
+def assert_missing_path(capsys, argv, flag, path):
+    """Check that ``argv`` is a usage error of its command naming ``flag`` and ``path``."""
+    assert main(argv) == 2
+    command = " ".join(argv[:2] if argv[0] == "eval" else argv[:1])
+    message = usage_error(capsys.readouterr(), command)
+    assert message == f"argument {flag}: path does not exist: {path}"
+
+
 class TestMissingPaths:
     @pytest.mark.parametrize("command, flag", missing_path_cases())
     def test_every_input_flag_is_checked(self, rotated_files, tmp_path, capsys, command, flag):
         fill = {"src": str(rotated_files["src"]), "out": str(tmp_path / "out")}
         argv = [part.format(**fill) for part in command] + [flag, str(tmp_path / "nope")]
-        assert main(argv) == 2
-        assert f"{flag} path does not exist" in capsys.readouterr().err
+        assert_missing_path(capsys, argv, flag, tmp_path / "nope")
 
     @pytest.mark.parametrize(
         "command, flag",
@@ -669,8 +718,7 @@ class TestMissingPaths:
         argv = [part.format(**fill) for part in command] + [flag, str(tmp_path / "nope")]
         if command[0] == "refine":
             argv += ["--src", fill["src"], "--tgt", fill["tgt"]]
-        assert main(argv) == 2
-        assert f"{flag} path does not exist" in capsys.readouterr().err
+        assert_missing_path(capsys, argv, flag, tmp_path / "nope")
 
 
 def tree_bytes(root):
