@@ -5,6 +5,7 @@ its translation toward their average vector."""
 from .alignment import (
     AlignedPair,
     AlignmentConfig,
+    SpacePair,
     align_supervised,
     induce_dictionary,
     iterate_self_learning,

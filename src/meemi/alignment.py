@@ -57,19 +57,29 @@ class AlignmentConfig:
 
 
 @dataclass
-class AlignedPair:
-    """A mapped source space and an untouched (only normalized) target space."""
+class SpacePair:
+    """A source and a target space of one dimension."""
 
     source: EmbeddingSpace
     target: EmbeddingSpace
+
+    def __post_init__(self):
+        if self.source.dim != self.target.dim:
+            raise ValueError(
+                f"dimension mismatch: source {self.source.dim} vs target {self.target.dim}")
+
+
+@dataclass
+class AlignedPair(SpacePair):
+    """A mapped source space, an untouched (only normalized) target space and the map."""
+
     map: LinearMap
     iterations_run: int = 1
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.map.orthogonal:
             raise ValueError("alignment map must be orthogonal")
-        if self.source.dim != self.target.dim:
-            raise ValueError("aligned spaces must share one dimension")
         if self.map.d_in != self.source.dim:
             raise ValueError(f"alignment map of size {self.map.d_in} does not fit dimension "
                              f"{self.source.dim}")
@@ -108,18 +118,17 @@ def align_supervised(
 ) -> AlignedPair:
     """Normalize both spaces, fit Procrustes on the lexicon, map the source."""
     config = config or AlignmentConfig()
-    if src.dim != tgt.dim:
-        raise ValueError(f"dimension mismatch: source {src.dim} vs target {tgt.dim}")
     if config.self_learning:
         return iterate_self_learning(src, tgt, lexicon, config)
-    src_n = apply_normalization(src)
-    tgt_n = apply_normalization(tgt)
+    pair = SpacePair(src, tgt)
+    src_n = apply_normalization(pair.source)
+    tgt_n = apply_normalization(pair.target)
     src_idx, tgt_idx, kept = resolve_rows(lexicon, src_n, tgt_n)
     w = fit_procrustes(src_n.matrix[src_idx[kept]], tgt_n.matrix[tgt_idx[kept]])
     return AlignedPair(apply_map(w, src_n), tgt_n, w, iterations_run=1)
 
 
-def induce_dictionary(aligned: AlignedPair, vocab_cap: int) -> BilingualLexicon:
+def induce_dictionary(aligned: SpacePair, vocab_cap: int) -> BilingualLexicon:
     """Pair each frequent source token with its cosine nearest target token.
 
     Both sides are truncated to their first ``vocab_cap`` tokens (file
@@ -194,10 +203,9 @@ def iterate_self_learning(
     the kept iteration is logged at INFO.
     """
     config = config or AlignmentConfig()
-    if src.dim != tgt.dim:
-        raise ValueError(f"dimension mismatch: source {src.dim} vs target {tgt.dim}")
-    src_n = apply_normalization(src)
-    tgt_n = apply_normalization(tgt)
+    pair = SpacePair(src, tgt)
+    src_n = apply_normalization(pair.source)
+    tgt_n = apply_normalization(pair.target)
     seed_src, seed_tgt, kept = resolve_rows(seed_lexicon, src_n, tgt_n)
     seed_src, seed_tgt = seed_src[kept], seed_tgt[kept]
     seed_pairs = set(seed_lexicon.pairs)
@@ -209,9 +217,7 @@ def iterate_self_learning(
     for iteration in range(1, config.max_iterations + 1):
         w = fit_procrustes(src_n.matrix[rows_src], tgt_n.matrix[rows_tgt])
         mapped = apply_map(w, src_n)
-        induced = induce_dictionary(
-            AlignedPair(mapped, tgt_n, w, iteration), config.induction_vocab_cap
-        )
+        induced = induce_dictionary(SpacePair(mapped, tgt_n), config.induction_vocab_cap)
         score = mean_pair_cosine(mapped, tgt_n, induced)
         # induced tokens are exact vocabulary tokens, so these are their own rows
         last = nearest

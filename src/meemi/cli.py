@@ -26,9 +26,7 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from .alignment import AlignedPair, AlignmentConfig, align_supervised, induce_dictionary
+from .alignment import AlignedPair, AlignmentConfig, SpacePair, align_supervised, induce_dictionary
 from .embeddings import _run_forked, load_space, save_space
 from .evaluation import (
     DEFAULT_HYPERNYM_K,
@@ -50,7 +48,7 @@ from .lexicon import (
 )
 from .refinement import apply_meemi, fit_meemi, save_meemi, similarity_shift_report
 from .retrieval import DEFAULT_CSLS_K
-from .solvers import LinearMap, load_map, save_map
+from .solvers import load_map, save_map
 
 
 def _write(out: Path, *writers) -> None:
@@ -59,14 +57,8 @@ def _write(out: Path, *writers) -> None:
     _run_forked(*writers)
 
 
-def _load_pair(src, tgt, limit=None, map_path=None) -> AlignedPair:
-    """The two spaces as a pair under the map at ``map_path``, or the identity without one."""
-    src_space = load_space(src, limit)
-    tgt_space = load_space(tgt, limit)
-    alignment_map = (
-        load_map(map_path) if map_path else LinearMap(np.eye(src_space.dim), orthogonal=True)
-    )
-    return AlignedPair(src_space, tgt_space, alignment_map, iterations_run=0)
+def _load_pair(src, tgt, limit=None) -> SpacePair:
+    return SpacePair(load_space(src, limit), load_space(tgt, limit))
 
 
 def _number_type(cast, check, wanted: str):
@@ -129,7 +121,9 @@ def cmd_align(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    before = _load_pair(args.src, args.tgt, args.limit, args.map)
+    before = _load_pair(args.src, args.tgt, args.limit)
+    if args.map:  # only checked: no output depends on the alignment map
+        AlignedPair(before.source, before.target, load_map(args.map))
     lexicon = load_lexicon(args.dict)
     model = fit_meemi(before, lexicon)
     after = apply_meemi(model, before)

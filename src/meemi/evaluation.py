@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alignment import AlignedPair, pair_cosines
+from .alignment import SpacePair, pair_cosines
 from .embeddings import EmbeddingSpace
 from .lexicon import BilingualLexicon, HypernymDataset, SimilarityDataset
 from .retrieval import DEFAULT_CSLS_K, batch_cosine_topk, batch_csls_topk, build_index
@@ -92,7 +92,7 @@ def _gold_keys(candidates: EmbeddingSpace, owner: np.ndarray, golds: list[str]) 
 
 
 def eval_bli(
-    aligned: AlignedPair,
+    aligned: SpacePair,
     test_lexicon: BilingualLexicon,
     retrieval: str = "cosine",
     ks: tuple[int, ...] = (1, 5, 10),
@@ -184,12 +184,12 @@ def eval_similarity(
 
 
 def _vectors(
-    space: EmbeddingSpace | AlignedPair, tokens: list[str]
+    space: EmbeddingSpace | SpacePair, tokens: list[str]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Each token's vector (zeros where it does not resolve) and the mask of
-    tokens that resolve. With an aligned pair a token resolves in the source
+    tokens that resolve. With a space pair a token resolves in the source
     space first, then in the target space."""
-    spaces = (space.source, space.target) if isinstance(space, AlignedPair) else (space,)
+    spaces = (space.source, space.target) if isinstance(space, SpacePair) else (space,)
     vectors = np.zeros((len(tokens), spaces[0].dim))
     found = np.zeros(len(tokens), dtype=bool)
     for s in spaces:
@@ -201,12 +201,12 @@ def _vectors(
 
 
 def fit_hypernym_projection(
-    space: EmbeddingSpace | AlignedPair, train: HypernymDataset
+    space: EmbeddingSpace | SpacePair, train: HypernymDataset
 ) -> LinearMap:
     """Least-squares map from hyponym vectors to their hypernym vectors.
 
     Each (query, gold) combination contributes one regression row, in
-    dataset order. With an aligned pair, tokens are looked up in the
+    dataset order. With a space pair, tokens are looked up in the
     source space first and then in the target space, so training pairs
     from either language can be mixed in one file.
     """
@@ -220,7 +220,7 @@ def fit_hypernym_projection(
 
 
 def eval_hypernyms(
-    space: EmbeddingSpace | AlignedPair,
+    space: EmbeddingSpace | SpacePair,
     projection: LinearMap,
     test: HypernymDataset,
     k: int = DEFAULT_HYPERNYM_K,
@@ -230,7 +230,7 @@ def eval_hypernyms(
 ) -> EvalReport:
     """MRR, MAP and P@5 over projected hypernym candidates.
 
-    Candidates are the target space of an aligned pair (or the single
+    Candidates are the target space of a space pair (or the single
     space itself) and never include the query's own row. Per query,
     the reciprocal rank is 1/rank of the first gold in the top-k list (0
     when absent), average precision is the mean precision over gold hits
@@ -239,7 +239,7 @@ def eval_hypernyms(
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    candidates = space.target if isinstance(space, AlignedPair) else space
+    candidates = space.target if isinstance(space, SpacePair) else space
     tokens = [query for query, _ in test.entries]
     queries, found = _vectors(space, tokens)
     owner = np.repeat(np.arange(len(tokens)), [len(g) for _, g in test.entries])

@@ -1,4 +1,4 @@
-"""Meeting-in-the-middle refinement of an aligned bilingual space.
+"""Meeting-in-the-middle refinement of a bilingual space pair.
 
 For every dictionary pair (w, w') the midpoint mu = (v_w + v_w') / 2 is
 the regression target: one unconstrained least-squares map sends source
@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .alignment import AlignedPair, pair_cosines
+from .alignment import SpacePair, pair_cosines
 from .embeddings import _numbered_lines, _require_line_end
 from .lexicon import BilingualLexicon, resolve_rows
 from .solvers import LinearMap, apply_map, fit_least_squares, load_map, save_map
@@ -53,7 +53,7 @@ class SimilarityShift(NamedTuple):
 
 
 def compute_averages(
-    aligned: AlignedPair, lexicon: BilingualLexicon
+    aligned: SpacePair, lexicon: BilingualLexicon
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Midpoint regression rows for both directions, in lexicon order.
 
@@ -68,7 +68,7 @@ def compute_averages(
     return a, b, (a + b) / 2.0
 
 
-def fit_meemi(aligned: AlignedPair, lexicon: BilingualLexicon) -> MeemiModel:
+def fit_meemi(aligned: SpacePair, lexicon: BilingualLexicon) -> MeemiModel:
     """Fit the two independent least-squares maps toward the midpoints."""
     a, b, mu = compute_averages(aligned, lexicon)
     return MeemiModel(
@@ -78,20 +78,16 @@ def fit_meemi(aligned: AlignedPair, lexicon: BilingualLexicon) -> MeemiModel:
     )
 
 
-def apply_meemi(model: MeemiModel, aligned: AlignedPair) -> AlignedPair:
-    """Map both full vocabularies through their midpoint maps."""
-    return AlignedPair(
-        source=apply_map(model.map_src, aligned.source),
-        target=apply_map(model.map_tgt, aligned.target),
-        map=aligned.map,
-        iterations_run=aligned.iterations_run,
-    )
+def apply_meemi(model: MeemiModel, aligned: SpacePair) -> SpacePair:
+    """Map both full vocabularies through their midpoint maps (not isometries, so no map)."""
+    return SpacePair(apply_map(model.map_src, aligned.source),
+                     apply_map(model.map_tgt, aligned.target))
 
 
 def similarity_shift_report(
-    before: AlignedPair, after: AlignedPair, lexicon: BilingualLexicon
+    before: SpacePair, after: SpacePair, lexicon: BilingualLexicon
 ) -> SimilarityShift:
-    """Per-pair cosine deltas between two aligned states of the same data.
+    """Per-pair cosine deltas between two space pairs holding the same words.
 
     Reports the mean and standard deviation of cos(after) - cos(before)
     over resolved pairs, and the fraction of pairs that moved closer.

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from meemi.alignment import (
     AlignedPair,
     AlignmentConfig,
+    SpacePair,
     align_supervised,
     apply_normalization,
     induce_dictionary,
@@ -185,11 +186,10 @@ def unit(matrix):
 
 
 def induced_rows(s, t):
-    """Target row induce_dictionary pairs with each source row, under an identity map."""
+    """Target row induce_dictionary pairs with each source row."""
     src = EmbeddingSpace([f"s{i}" for i in range(len(s))], s)
     tgt = EmbeddingSpace([f"t{j}" for j in range(len(t))], t)
-    pair = AlignedPair(src, tgt, LinearMap(np.eye(s.shape[1]), orthogonal=True), 1)
-    induced = induce_dictionary(pair, vocab_cap=max(len(s), len(t)))
+    induced = induce_dictionary(SpacePair(src, tgt), vocab_cap=max(len(s), len(t)))
     return np.array([int(target[1:]) for _, target in induced.pairs])
 
 
@@ -341,8 +341,7 @@ def reference_self_learning(src, tgt, seed_lexicon, config):
         iterations = iteration
         w = fit_procrustes(*rows(src_n, tgt_n, current))
         mapped = apply_map(w, src_n)
-        induced = induce_dictionary(AlignedPair(mapped, tgt_n, w, iteration),
-                                    config.induction_vocab_cap)
+        induced = induce_dictionary(SpacePair(mapped, tgt_n), config.induction_vocab_cap)
         a, b = rows(mapped, tgt_n, induced)
         a = a / np.linalg.norm(a, axis=1, keepdims=True)
         b = b / np.linalg.norm(b, axis=1, keepdims=True)

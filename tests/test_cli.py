@@ -191,6 +191,22 @@ class TestRefine:
         assert "alignment map of size 3 does not fit dimension 16" in capsys.readouterr().err
         assert not (tmp_path / "refined" / "meemi.model").exists()
 
+    def test_map_is_only_checked(self, rotated_files, tmp_path, capsys):
+        # a valid --map changes no output: only the alignment relates spaces by a map
+        aligned = self.aligned(rotated_files, tmp_path)
+        capsys.readouterr()
+        args = ["refine", "--src", str(aligned / "source_mapped.vec"),
+                "--tgt", str(aligned / "target_normalized.vec"),
+                "--dict", str(rotated_files["dict"])]
+        runs = []
+        for name, extra in (("plain", []), ("mapped", ["--map", str(aligned / "alignment.map")])):
+            assert main(args + extra + ["--out", str(tmp_path / name)]) == 0
+            runs.append((capsys.readouterr().out, tree_bytes(tmp_path / name)))
+        assert set(runs[0][1]) == {
+            "meemi.model", "meemi.src.map", "meemi.tgt.map", "source_refined.vec",
+            "source_refined.vec.npz", "target_refined.vec", "target_refined.vec.npz"}
+        assert runs[0] == runs[1]
+
     def test_rerun_byte_identical(self, rotated_files, tmp_path):
         aligned = self.aligned(rotated_files, tmp_path)
         args = [
@@ -494,6 +510,28 @@ def test_only_fixture_takes_seed(rotated_files, tmp_path, capsys, command):
     assert main(argv + ["--seed", "1"]) == 2
     # the subcommand's usage, not the root's, which names no flag
     assert usage_error(capsys.readouterr(), command) == "unrecognized arguments: --seed 1"
+
+
+@pytest.mark.parametrize("command", ["align", "refine", "induce", "eval bli", "eval hyper"])
+def test_two_space_commands_name_a_dimension_mismatch(rotated_files, tmp_path, capsys, command):
+    src, lexicon = str(rotated_files["src"]), str(rotated_files["dict"])
+    tgt, hyper = str(tmp_path / "tgt12.vec"), tmp_path / "hyper.tsv"
+    tokens = [f"tgt{i:05d}" for i in range(20)]
+    save_space(EmbeddingSpace(tokens, np.random.default_rng(0).normal(size=(20, 12))), tgt)
+    hyper.write_text("".join(f"src{i:05d}\tsrc{i + 1:05d}\n" for i in range(20)))
+    out = str(tmp_path / "out")
+    argv = {
+        "align": ["align", "--dict", lexicon, "--out", out],
+        "refine": ["refine", "--dict", lexicon, "--out", out],
+        "induce": ["induce", "--out", out],
+        "eval bli": ["eval", "bli", "--test", lexicon],
+        "eval hyper": ["eval", "hyper", "--train", str(hyper), "--test", str(hyper)],
+    }[command]
+    assert main(argv + ["--src", src, "--tgt", tgt]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dimension mismatch: source 16 vs target 12\n"
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("kind", ["directory", "not utf-8"])

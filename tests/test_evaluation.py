@@ -4,7 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from meemi.alignment import AlignedPair, align_supervised
+from meemi.alignment import SpacePair, align_supervised
 from meemi.embeddings import EmbeddingSpace
 from meemi.evaluation import (
     RETRIEVAL_MODES,
@@ -48,10 +48,6 @@ def spearman_oracle(x, y):
     return pearson_oracle(average_ranks(x), average_ranks(y))
 
 
-def identity_pair(src, tgt):
-    return AlignedPair(src, tgt, LinearMap(np.eye(src.dim), orthogonal=True), 0)
-
-
 def bli_oracle(pair, lexicon, ks):
     """From-scratch P@k: full-vocabulary ranking per unique source token."""
     tgt = pair.target.matrix / np.linalg.norm(pair.target.matrix, axis=1, keepdims=True)
@@ -86,7 +82,7 @@ class TestEvalBli:
             ["a", "q"], np.array([[1.0, 0, 0], [0, 0, 1.0]])
         )
         lexicon = BilingualLexicon([("a", "gold_a"), ("q", "t4")])
-        return identity_pair(sources, targets), lexicon
+        return SpacePair(sources, targets), lexicon
 
     def test_micro_case(self):
         pair, lexicon = self.micro_pair()
@@ -104,7 +100,7 @@ class TestEvalBli:
         targets = EmbeddingSpace(["x", "y"], np.array([[1.0, 0], [0, 1.0]]))
         sources = EmbeddingSpace(["a"], np.array([[1.0, 0]]))
         lexicon = BilingualLexicon([("a", "y"), ("a", "x")])
-        report = eval_bli(identity_pair(sources, targets), lexicon, ks=(1,))
+        report = eval_bli(SpacePair(sources, targets), lexicon, ks=(1,))
         assert report.metrics["P@1"] == 1.0
 
     def test_oov_source_skipped_and_counted(self):
@@ -150,11 +146,9 @@ class TestEvalBli:
         test = BilingualLexicon(fx.gold.pairs[30:])
         baseline = eval_bli(pair, test, ks=(1, 5)).metrics
         for source_scale, target_scale in ((7.0, 1.0), (1.0, 3.0), (7.0, 3.0)):
-            scaled = AlignedPair(
+            scaled = SpacePair(
                 EmbeddingSpace(pair.source.vocab, pair.source.matrix * source_scale),
                 EmbeddingSpace(pair.target.vocab, pair.target.matrix * target_scale),
-                pair.map,
-                pair.iterations_run,
             )
             assert eval_bli(scaled, test, ks=(1, 5)).metrics == baseline
 
@@ -368,7 +362,7 @@ class TestEvalHypernyms:
         rng = np.random.default_rng(10)
         src = EmbeddingSpace(["q1"], rng.standard_normal((1, 4)))
         tgt = EmbeddingSpace(["h1", "h2"], rng.standard_normal((2, 4)))
-        pair = identity_pair(src, tgt)
+        pair = SpacePair(src, tgt)
         test = HypernymDataset([("q1", ["h1", "h2"])])
         report = eval_hypernyms(pair, LinearMap(np.eye(4)), test, k=2)
         assert report.metrics["MRR"] == 1.0
@@ -434,7 +428,7 @@ def vector(space, token):
 
 
 def joint_vector(space, token):
-    if isinstance(space, AlignedPair):
+    if isinstance(space, SpacePair):
         v = vector(space.source, token)
         return v if v is not None else vector(space.target, token)
     return vector(space, token)
@@ -506,7 +500,7 @@ def reference_projection(space, train):
 def reference_hypernyms(space, projection, test, k, retrieval, csls_k):
     """eval_hypernyms as a loop over tokens; like eval_hypernyms it drops
     the query's own row (``index_of``), which a fold-resolved query reaches too."""
-    candidates = space.target if isinstance(space, AlignedPair) else space
+    candidates = space.target if isinstance(space, SpacePair) else space
     queries, gold_sets, own = [], [], []
     for query, golds in test.entries:
         qv = joint_vector(space, query)
@@ -540,7 +534,7 @@ def awkward_pair(seed, d=4):
                          rng.standard_normal((28, d)))
     tgt = EmbeddingSpace([f"t{i}" for i in range(30)] + ["hund", "only_t", "both"],
                          rng.standard_normal((33, d)))
-    return identity_pair(src, tgt)
+    return SpacePair(src, tgt)
 
 
 def with_zero_row(space):
