@@ -20,7 +20,9 @@ not, also gives both trees' line counts of ``src/meemi/*.py`` (the total of
 
 The list builds the three fixtures, then runs ``align`` (plain, with
 self-learning, with ``--limit``), ``refine`` (with ``--map`` and on the
-self-learned pair), ``eval bli`` and ``eval hyper`` under both retrievals,
+self-learned pair), ``eval bli`` and ``eval hyper`` under both retrievals
+(``eval hyper`` on the taxonomy alone, paired with itself, and paired with
+the rotated source, so that its tokens resolve only in ``--tgt``),
 ``eval sim`` cross-lingual and monolingual, ``inspect``, ``induce``,
 ``inspect`` under cosine and CSLS on a space of exact ties, and
 ``align``/``refine`` on a dictionary that resolves nothing. The rotated
@@ -84,6 +86,10 @@ def commands(vocab: int, dim: int) -> list[list[str]]:
         argvs.append(["eval", "hyper", *tax, "--retrieval", retrieval])
         argvs.append(["eval", "hyper", *tax, "--tgt", "tax/space.vec", "--retrieval", retrieval,
                       "--format", "tsv", "--out", f"hyper_{retrieval}.tsv"])
+        # no token of fx/src.vec is a taxonomy token, so every one resolves in --tgt
+        argvs.append(["eval", "hyper", "--src", "fx/src.vec", "--tgt", "tax/space.vec",
+                      "--train", "tax/train.tsv", "--test", "tax/test.tsv",
+                      "--retrieval", retrieval, "--format", "tsv"])
     argvs += [
         ["eval", "bli", *aligned, "--test", "fx/gold.dict", "--limit", half, "--k", "1,3",
          "--format", "tsv", "--out", "bli_limited.tsv"],

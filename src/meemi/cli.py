@@ -57,8 +57,10 @@ def _write(out: Path, *writers) -> None:
     _run_forked(*writers)
 
 
-def _load_pair(src, tgt, limit=None) -> SpacePair:
-    return SpacePair(load_space(src, limit), load_space(tgt, limit))
+def _load_pair(args) -> SpacePair:
+    """``--src`` and ``--tgt``, or ``--src`` paired with itself without ``--tgt``."""
+    src = load_space(args.src, args.limit)
+    return SpacePair(src, load_space(args.tgt, args.limit) if args.tgt else src)
 
 
 def _number_type(cast, check, wanted: str):
@@ -103,11 +105,10 @@ def cmd_align(args) -> int:
         convergence_tol=args.tol,
         induction_vocab_cap=args.cap,
     )
-    src = load_space(args.src, args.limit)
-    tgt = load_space(args.tgt, args.limit)
+    spaces = _load_pair(args)
     lexicon = load_lexicon(args.dict)
-    _, _, kept = resolve_rows(lexicon, src, tgt)
-    pair = align_supervised(src, tgt, lexicon, options)
+    _, _, kept = resolve_rows(lexicon, spaces.source, spaces.target)
+    pair = align_supervised(spaces.source, spaces.target, lexicon, options)
     out = Path(args.out)
     _write(
         out,
@@ -121,7 +122,7 @@ def cmd_align(args) -> int:
 
 
 def cmd_refine(args) -> int:
-    before = _load_pair(args.src, args.tgt, args.limit)
+    before = _load_pair(args)
     if args.map:  # only checked: no output depends on the alignment map
         AlignedPair(before.source, before.target, load_map(args.map))
     lexicon = load_lexicon(args.dict)
@@ -143,7 +144,7 @@ def cmd_refine(args) -> int:
 
 
 def cmd_induce(args) -> int:
-    pair = _load_pair(args.src, args.tgt, args.limit)
+    pair = _load_pair(args)
     induced = induce_dictionary(pair, args.cap)
     save_lexicon(induced, args.out)
     print(f"induced {len(induced)} pairs")
@@ -151,7 +152,7 @@ def cmd_induce(args) -> int:
 
 
 def cmd_eval_bli(args) -> int:
-    pair = _load_pair(args.src, args.tgt, args.limit)
+    pair = _load_pair(args)
     report = eval_bli(
         pair,
         load_lexicon(args.test),
@@ -167,23 +168,18 @@ def cmd_eval_bli(args) -> int:
 def cmd_eval_sim(args) -> int:
     if args.cross != bool(args.tgt):
         args.parser.error("--cross requires --tgt" if args.cross else "--tgt requires --cross")
-    space_a = load_space(args.src, args.limit)
-    space_b = load_space(args.tgt, args.limit) if args.cross else space_a
     report = eval_similarity(
-        space_a, space_b, load_similarity(args.dataset), dataset_name=Path(args.dataset).name
+        _load_pair(args), load_similarity(args.dataset), dataset_name=Path(args.dataset).name
     )
     _emit_report(report, args)
     return 0
 
 
 def cmd_eval_hyper(args) -> int:
-    if args.tgt:
-        space = _load_pair(args.src, args.tgt, args.limit)
-    else:
-        space = load_space(args.src, args.limit)
-    projection = fit_hypernym_projection(space, load_hypernyms(args.train))
+    pair = _load_pair(args)
+    projection = fit_hypernym_projection(pair, load_hypernyms(args.train))
     report = eval_hypernyms(
-        space,
+        pair,
         projection,
         load_hypernyms(args.test),
         k=args.k,
@@ -196,17 +192,16 @@ def cmd_eval_hyper(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    src = load_space(args.src, args.limit)
-    row = src.index_of(args.word)
+    pair = _load_pair(args)
+    row = pair.source.index_of(args.word)
     if row is None:
         raise ValueError(f"word {args.word!r} is not in the source vocabulary")
-    candidates = load_space(args.tgt, args.limit) if args.tgt else src
     # one more is retrieved, so k remain once the word's own row is dropped
     # within one space; with --tgt no row is dropped and the extra one is cut
     own = -1 if args.tgt else row
-    idx, scores = _topk(src.matrix[row], candidates, args.k + 1, args.retrieval, args.csls_k,
-                        density_space=src if args.tgt else None)
-    neighbors = [(candidates.vocab[j], s) for j, s in zip(idx[0], scores[0]) if j != own][: args.k]
+    idx, scores = _topk(pair.source.matrix[row], pair.target, args.k + 1, args.retrieval,
+                        args.csls_k, density_space=pair.source if args.tgt else None)
+    neighbors = [(pair.target.vocab[j], s) for j, s in zip(idx[0], scores[0]) if j != own][: args.k]
     for rank, (token, score) in enumerate(neighbors, start=1):
         print(f"{rank}\t{token}\t{score:.4f}")
     return 0

@@ -153,24 +153,23 @@ def _spearman(x: np.ndarray, y: np.ndarray) -> float:
 
 
 def eval_similarity(
-    space_a: EmbeddingSpace,
-    space_b: EmbeddingSpace,
+    pair: SpacePair,
     dataset: SimilarityDataset,
     dataset_name: str = "",
 ) -> EvalReport:
     """Pearson and Spearman correlation of cosine scores against gold.
 
-    Pass the same space twice for monolingual benchmarks. Spearman uses
-    average ranks for ties. Both are computed in numpy and equal scipy's
-    ``pearsonr`` and ``spearmanr`` bit for bit. Triples with an
-    unresolvable token or a zero vector are skipped and counted.
+    Each triple's first word is looked up in the source space and its
+    second in the target space; pass ``SpacePair(space, space)`` for
+    monolingual benchmarks. Spearman uses average ranks for ties. Both are
+    computed in numpy and equal scipy's ``pearsonr`` and ``spearmanr`` bit
+    for bit. Triples with an unresolvable token or a zero vector are
+    skipped and counted.
     """
-    if space_a.dim != space_b.dim:
-        raise ValueError(f"dimension mismatch: first space {space_a.dim} vs second {space_b.dim}")
-    rows_a = space_a.rows_of([w1 for w1, _, _ in dataset.triples])
-    rows_b = space_b.rows_of([w2 for _, w2, _ in dataset.triples])
+    rows_a = pair.source.rows_of([w1 for w1, _, _ in dataset.triples])
+    rows_b = pair.target.rows_of([w2 for _, w2, _ in dataset.triples])
     kept = (rows_a >= 0) & (rows_b >= 0)
-    a, b = space_a.matrix[rows_a[kept]], space_b.matrix[rows_b[kept]]
+    a, b = pair.source.matrix[rows_a[kept]], pair.target.matrix[rows_b[kept]]
     nonzero = (np.linalg.norm(a, axis=1) != 0.0) & (np.linalg.norm(b, axis=1) != 0.0)
     preds = pair_cosines(a[nonzero], b[nonzero])
     golds = np.array([gold for _, _, gold in dataset.triples], dtype=np.float64)[kept][nonzero]
@@ -183,16 +182,13 @@ def eval_similarity(
     return EvalReport("similarity", dataset_name, "cosine", metrics, len(preds), len(dataset.triples))
 
 
-def _vectors(
-    space: EmbeddingSpace | SpacePair, tokens: list[str]
-) -> tuple[np.ndarray, np.ndarray]:
+def _vectors(pair: SpacePair, tokens: list[str]) -> tuple[np.ndarray, np.ndarray]:
     """Each token's vector (zeros where it does not resolve) and the mask of
-    tokens that resolve. With a space pair a token resolves in the source
-    space first, then in the target space."""
-    spaces = (space.source, space.target) if isinstance(space, SpacePair) else (space,)
-    vectors = np.zeros((len(tokens), spaces[0].dim))
+    tokens that resolve. A token resolves in the source space first, then
+    in the target space."""
+    vectors = np.zeros((len(tokens), pair.source.dim))
     found = np.zeros(len(tokens), dtype=bool)
-    for s in spaces:
+    for s in (pair.source, pair.target):
         rows = s.rows_of(tokens)
         new = ~found & (rows >= 0)
         vectors[new] = s.matrix[rows[new]]
@@ -200,19 +196,17 @@ def _vectors(
     return vectors, found
 
 
-def fit_hypernym_projection(
-    space: EmbeddingSpace | SpacePair, train: HypernymDataset
-) -> LinearMap:
+def fit_hypernym_projection(pair: SpacePair, train: HypernymDataset) -> LinearMap:
     """Least-squares map from hyponym vectors to their hypernym vectors.
 
     Each (query, gold) combination contributes one regression row, in
-    dataset order. With a space pair, tokens are looked up in the
-    source space first and then in the target space, so training pairs
-    from either language can be mixed in one file.
+    dataset order. Tokens are looked up in the source space first and then
+    in the target space, so training pairs from either language can be
+    mixed in one file; pass ``SpacePair(space, space)`` for one language.
     """
-    queries, q_found = _vectors(space, [query for query, _ in train.entries])
+    queries, q_found = _vectors(pair, [query for query, _ in train.entries])
     owner = np.repeat(np.arange(len(train.entries)), [len(g) for _, g in train.entries])
-    golds, g_found = _vectors(space, [g for _, golds in train.entries for g in golds])
+    golds, g_found = _vectors(pair, [g for _, golds in train.entries for g in golds])
     kept = q_found[owner] & g_found
     if not kept.any():
         raise ValueError("no training pair resolves in the embedding space")
@@ -220,7 +214,7 @@ def fit_hypernym_projection(
 
 
 def eval_hypernyms(
-    space: EmbeddingSpace | SpacePair,
+    pair: SpacePair,
     projection: LinearMap,
     test: HypernymDataset,
     k: int = DEFAULT_HYPERNYM_K,
@@ -230,8 +224,8 @@ def eval_hypernyms(
 ) -> EvalReport:
     """MRR, MAP and P@5 over projected hypernym candidates.
 
-    Candidates are the target space of a space pair (or the single
-    space itself) and never include the query's own row. Per query,
+    Candidates are the target space's rows other than the query's own;
+    queries are looked up as in ``fit_hypernym_projection``. Per query,
     the reciprocal rank is 1/rank of the first gold in the top-k list (0
     when absent), average precision is the mean precision over gold hits
     normalized by min(|gold|, k), and P@5 counts gold hits in the top 5
@@ -239,9 +233,9 @@ def eval_hypernyms(
     """
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    candidates = space.target if isinstance(space, SpacePair) else space
+    candidates = pair.target
     tokens = [query for query, _ in test.entries]
-    queries, found = _vectors(space, tokens)
+    queries, found = _vectors(pair, tokens)
     owner = np.repeat(np.arange(len(tokens)), [len(g) for _, g in test.entries])
     keys = _gold_keys(candidates, owner, [g for _, golds in test.entries for g in golds])
     n_gold = np.bincount(keys // len(candidates), minlength=len(tokens))

@@ -216,7 +216,7 @@ def test_criterion_08_metric_oracles():
         rows += [[1.0, 0.0], [np.cos(angle), np.sin(angle)]]
         triples.append((f"a{i}", f"b{i}", float(g)))
     space = EmbeddingSpace(tokens, np.array(rows))
-    report = eval_similarity(space, space, SimilarityDataset(triples))
+    report = eval_similarity(SpacePair(space, space), SimilarityDataset(triples))
     dx, dy = golds - golds.mean(), preds - preds.mean()
     pearson = float((dx * dy).sum() / np.sqrt((dx * dx).sum() * (dy * dy).sum()))
     def ranks(v):
@@ -245,9 +245,11 @@ def test_criterion_08_metric_oracles():
         ["query", "c1", "c2", "c3"],
         np.array([[1.0, 0.0], [0.98, 0.199], [0.9, 0.436], [0.6, 0.8]]),
     )
-    top = eval_hypernyms(ranked, LinearMap(np.eye(2)), HypernymDataset([("query", ["c1"])]))
+    top = eval_hypernyms(SpacePair(ranked, ranked), LinearMap(np.eye(2)),
+                         HypernymDataset([("query", ["c1"])]))
     assert top.metrics["MRR"] == 1.0 and top.metrics["MAP"] == 1.0 and top.metrics["P@5"] == 1.0
-    second = eval_hypernyms(ranked, LinearMap(np.eye(2)), HypernymDataset([("query", ["c2"])]))
+    second = eval_hypernyms(SpacePair(ranked, ranked), LinearMap(np.eye(2)),
+                            HypernymDataset([("query", ["c2"])]))
     assert second.metrics["MRR"] == 0.5
     assert second.metrics["MAP"] == 0.5
     assert second.metrics["P@5"] == 1.0
@@ -264,12 +266,14 @@ def test_criterion_08_metric_oracles():
 def test_criterion_09_hypernym_recovery():
     start = time.perf_counter()
     clean = make_taxonomy(SyntheticSpec(500, 50, noise_sigma=0.0, seed=7))
-    projection = fit_hypernym_projection(clean.space, clean.train)
+    projection = fit_hypernym_projection(SpacePair(clean.space, clean.space), clean.train)
     recovery = np.abs(projection.matrix - clean.true_map.matrix).max()
-    clean_mrr = eval_hypernyms(clean.space, projection, clean.test, k=15).metrics["MRR"]
+    clean_mrr = eval_hypernyms(SpacePair(clean.space, clean.space), projection, clean.test,
+                               k=15).metrics["MRR"]
     noisy = make_taxonomy(SyntheticSpec(500, 50, noise_sigma=0.05, seed=7))
-    noisy_projection = fit_hypernym_projection(noisy.space, noisy.train)
-    noisy_mrr = eval_hypernyms(noisy.space, noisy_projection, noisy.test, k=15).metrics["MRR"]
+    noisy_projection = fit_hypernym_projection(SpacePair(noisy.space, noisy.space), noisy.train)
+    noisy_mrr = eval_hypernyms(SpacePair(noisy.space, noisy.space), noisy_projection, noisy.test,
+                               k=15).metrics["MRR"]
     elapsed = time.perf_counter() - start
     assert recovery <= 1e-6
     assert clean_mrr == 1.0

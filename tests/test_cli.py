@@ -342,20 +342,6 @@ class TestEval:
             assert code == 2
             assert usage_error(capsys.readouterr(), "eval sim") == "--tgt requires --cross"
 
-    def test_sim_cross_names_a_dimension_mismatch(self, tmp_path, capsys):
-        src, tgt = tmp_path / "src.vec", tmp_path / "tgt.vec"
-        rng = np.random.default_rng(0)
-        save_space(EmbeddingSpace(["a", "b", "c"], rng.normal(size=(3, 10))), src)
-        save_space(EmbeddingSpace(["a", "b", "c"], rng.normal(size=(3, 12))), tgt)
-        data = tmp_path / "sim.txt"
-        data.write_text("a b 1\nb c 2\nc a 3\n")
-        code = main(["eval", "sim", "--src", str(src), "--tgt", str(tgt), "--cross",
-                     "--dataset", str(data)])
-        assert code == 1
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: dimension mismatch: first space 10 vs second 12\n"
-
     def test_hyper(self, tmp_path, capsys):
         code = main(
             ["fixture", "taxonomy", "--vocab", "120", "--dim", "10", "--seed", "7",
@@ -375,19 +361,25 @@ class TestEval:
         for key in ("MRR", "MAP", "P@5"):
             assert key in out
 
-    def test_hyper_tgt_naming_the_src_changes_nothing(self, tmp_path, capsys):
+    def test_a_space_paired_with_itself_is_the_monolingual_run(self, tmp_path, capsys):
         tax = tmp_path / "tax"
         assert main(["fixture", "taxonomy", "--vocab", "120", "--dim", "10", "--sigma", "1.0",
                      "--seed", "7", "--out", str(tax)]) == 0
-        capsys.readouterr()
-        argv = ["eval", "hyper", "--src", str(tax / "space.vec"),
-                "--train", str(tax / "train.tsv"), "--test", str(tax / "test.tsv"), "--format", "tsv"]
-        outs = []
-        for extra in ([], ["--tgt", str(tax / "space.vec")]):
-            assert main(argv + extra) == 0
-            outs.append(capsys.readouterr().out)
-        assert outs[0] == outs[1]
-        assert "MRR\t0.972222" in outs[0]
+        space, sim = str(tax / "space.vec"), tmp_path / "sim.txt"
+        words = load_space(space).vocab
+        sim.write_text("".join(f"{words[i]} {words[i + 7]} {i % 5}.0\n" for i in range(40)))
+        hyper = ["eval", "hyper", "--train", str(tax / "train.tsv"), "--test", str(tax / "test.tsv")]
+        for argv, paired, line in [
+            (["eval", "sim", "--dataset", str(sim)], ["--tgt", space, "--cross"], "resolved\t40"),
+            (hyper + ["--retrieval", "cosine"], ["--tgt", space], "MRR\t0.972222"),
+            (hyper + ["--retrieval", "csls"], ["--tgt", space], "MRR\t0.979167"),
+        ]:
+            capsys.readouterr()
+            assert main(argv + ["--src", space, "--format", "tsv"]) == 0
+            alone = capsys.readouterr().out
+            assert f"\n{line}\n" in alone
+            assert main(argv + ["--src", space, "--format", "tsv"] + paired) == 0
+            assert capsys.readouterr().out == alone
 
     @pytest.mark.parametrize("ks, message", [
         ("1,x", "argument --k: expected int, got 'x'"),
@@ -512,12 +504,15 @@ def test_only_fixture_takes_seed(rotated_files, tmp_path, capsys, command):
     assert usage_error(capsys.readouterr(), command) == "unrecognized arguments: --seed 1"
 
 
-@pytest.mark.parametrize("command", ["align", "refine", "induce", "eval bli", "eval hyper"])
+@pytest.mark.parametrize("command", [
+    "align", "refine", "induce", "eval bli", "eval sim --cross", "eval hyper", "inspect --tgt",
+    "inspect --tgt --retrieval csls"])
 def test_two_space_commands_name_a_dimension_mismatch(rotated_files, tmp_path, capsys, command):
     src, lexicon = str(rotated_files["src"]), str(rotated_files["dict"])
-    tgt, hyper = str(tmp_path / "tgt12.vec"), tmp_path / "hyper.tsv"
+    tgt, sim, hyper = str(tmp_path / "tgt12.vec"), tmp_path / "sim.txt", tmp_path / "hyper.tsv"
     tokens = [f"tgt{i:05d}" for i in range(20)]
     save_space(EmbeddingSpace(tokens, np.random.default_rng(0).normal(size=(20, 12))), tgt)
+    sim.write_text("".join(f"src{i:05d} tgt{i:05d} {i}.0\n" for i in range(20)))
     hyper.write_text("".join(f"src{i:05d}\tsrc{i + 1:05d}\n" for i in range(20)))
     out = str(tmp_path / "out")
     argv = {
@@ -525,7 +520,10 @@ def test_two_space_commands_name_a_dimension_mismatch(rotated_files, tmp_path, c
         "refine": ["refine", "--dict", lexicon, "--out", out],
         "induce": ["induce", "--out", out],
         "eval bli": ["eval", "bli", "--test", lexicon],
+        "eval sim --cross": ["eval", "sim", "--cross", "--dataset", str(sim)],
         "eval hyper": ["eval", "hyper", "--train", str(hyper), "--test", str(hyper)],
+        "inspect --tgt": ["inspect", "src00001"],
+        "inspect --tgt --retrieval csls": ["inspect", "src00001", "--retrieval", "csls"],
     }[command]
     assert main(argv + ["--src", src, "--tgt", tgt]) == 1
     captured = capsys.readouterr()

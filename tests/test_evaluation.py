@@ -183,7 +183,7 @@ class TestEvalSimilarity:
     def test_perfect_agreement(self):
         golds = [0.9, 0.5, 0.1, -0.4]
         dataset, space = self.dataset_for(golds, golds)
-        report = eval_similarity(space, space, dataset)
+        report = eval_similarity(SpacePair(space, space), dataset)
         assert report.metrics["pearson_r"] == pytest.approx(1.0, abs=1e-9)
         assert report.metrics["spearman_rho"] == pytest.approx(1.0, abs=1e-9)
 
@@ -193,7 +193,7 @@ class TestEvalSimilarity:
         inverted = SimilarityDataset(
             [(w1, w2, -g) for (w1, w2, g) in dataset.triples]
         )
-        report = eval_similarity(space, space, inverted)
+        report = eval_similarity(SpacePair(space, space), inverted)
         assert report.metrics["spearman_rho"] == pytest.approx(
             -spearman_oracle(golds[::-1], golds), abs=1e-9
         )
@@ -203,7 +203,7 @@ class TestEvalSimilarity:
         preds = rng.uniform(-0.95, 0.95, size=50)
         golds = rng.uniform(0, 10, size=50)
         dataset, space = self.dataset_for(list(golds), list(preds))
-        report = eval_similarity(space, space, dataset)
+        report = eval_similarity(SpacePair(space, space), dataset)
         assert report.metrics["pearson_r"] == pytest.approx(
             pearson_oracle(golds, preds), abs=1e-10
         )
@@ -215,7 +215,7 @@ class TestEvalSimilarity:
         preds = [0.5, 0.5, 0.9, 0.1, 0.9]
         golds = [1.0, 2.0, 3.0, 0.5, 4.0]
         dataset, space = self.dataset_for(golds, preds)
-        report = eval_similarity(space, space, dataset)
+        report = eval_similarity(SpacePair(space, space), dataset)
         assert report.metrics["spearman_rho"] == pytest.approx(
             spearman_oracle(golds, preds), abs=1e-10
         )
@@ -223,22 +223,22 @@ class TestEvalSimilarity:
     def test_unresolved_triples_skipped(self):
         dataset, space = self.dataset_for([1.0, 2.0, 3.0], [0.1, 0.5, 0.9])
         noisy = SimilarityDataset(dataset.triples + [("ghost", "b0", 5.0)])
-        report = eval_similarity(space, space, noisy)
+        report = eval_similarity(SpacePair(space, space), noisy)
         assert report.resolved == 3
         assert report.total == 4
 
     def test_too_few_triples(self):
         dataset, space = self.dataset_for([1.0], [0.3])
         with pytest.raises(ValueError, match="at least 2"):
-            eval_similarity(space, space, dataset)
+            eval_similarity(SpacePair(space, space), dataset)
 
     def test_zero_variance_names_series(self):
         dataset, space = self.dataset_for([1.0, 2.0], [0.4, 0.4])
         with pytest.raises(ValueError, match="predicted"):
-            eval_similarity(space, space, dataset)
+            eval_similarity(SpacePair(space, space), dataset)
         dataset2, space2 = self.dataset_for([2.0, 2.0], [0.1, 0.8])
         with pytest.raises(ValueError, match="gold"):
-            eval_similarity(space2, space2, dataset2)
+            eval_similarity(SpacePair(space2, space2), dataset2)
 
     def test_spearman_invariant_under_monotone_transform(self):
         rng = np.random.default_rng(5)
@@ -247,12 +247,13 @@ class TestEvalSimilarity:
         dataset, space = self.dataset_for(golds, preds)
         # cubing the predicted cosines is strictly monotone on [-1, 1]
         _, cubed_space = self.dataset_for(golds, [p ** 3 for p in preds])
-        rho = eval_similarity(space, space, dataset).metrics["spearman_rho"]
-        rho_cubed = eval_similarity(cubed_space, cubed_space, dataset).metrics["spearman_rho"]
+        rho = eval_similarity(SpacePair(space, space), dataset).metrics["spearman_rho"]
+        rho_cubed = eval_similarity(SpacePair(cubed_space, cubed_space),
+                                    dataset).metrics["spearman_rho"]
         assert rho_cubed == pytest.approx(rho, abs=1e-12)
         # same invariance when the gold side is transformed instead
         cubed_gold = SimilarityDataset([(a, b, g ** 3) for a, b, g in dataset.triples])
-        rho_gold = eval_similarity(space, space, cubed_gold).metrics["spearman_rho"]
+        rho_gold = eval_similarity(SpacePair(space, space), cubed_gold).metrics["spearman_rho"]
         assert rho_gold == pytest.approx(rho, abs=1e-12)
 
 
@@ -299,19 +300,19 @@ class TestHypernymProjection:
         rng = np.random.default_rng(6)
         space = EmbeddingSpace([f"w{i}" for i in range(30)], rng.standard_normal((30, 6)))
         train = HypernymDataset([(t, [t]) for t in space.vocab])
-        projection = fit_hypernym_projection(space, train)
+        projection = fit_hypernym_projection(SpacePair(space, space), train)
         assert np.abs(projection.matrix - np.eye(6)).max() <= 1e-8
 
     def test_recovers_generating_map(self):
         tax = make_taxonomy(SyntheticSpec(200, 10, noise_sigma=0.0, seed=7))
-        projection = fit_hypernym_projection(tax.space, tax.train)
+        projection = fit_hypernym_projection(SpacePair(tax.space, tax.space), tax.train)
         assert np.abs(projection.matrix - tax.true_map.matrix).max() <= 1e-6
 
     def test_all_oov_errors(self):
         rng = np.random.default_rng(8)
         space = EmbeddingSpace(["a"], rng.standard_normal((1, 3)))
         with pytest.raises(ValueError, match="no training pair"):
-            fit_hypernym_projection(space, HypernymDataset([("x", ["y"])]))
+            fit_hypernym_projection(SpacePair(space, space), HypernymDataset([("x", ["y"])]))
 
 
 class TestEvalHypernyms:
@@ -327,13 +328,13 @@ class TestEvalHypernyms:
     def test_first_candidate_gold(self):
         space = self.ranked_space()
         test = HypernymDataset([("query", ["c1"])])
-        report = eval_hypernyms(space, LinearMap(np.eye(2)), test, k=15)
+        report = eval_hypernyms(SpacePair(space, space), LinearMap(np.eye(2)), test, k=15)
         assert report.metrics["MRR"] == 1.0
 
     def test_gold_at_rank_two(self):
         space = self.ranked_space()
         test = HypernymDataset([("query", ["c2"])])
-        report = eval_hypernyms(space, LinearMap(np.eye(2)), test, k=15)
+        report = eval_hypernyms(SpacePair(space, space), LinearMap(np.eye(2)), test, k=15)
         assert report.metrics["MRR"] == 0.5
         assert report.metrics["MAP"] == 0.5
         assert report.metrics["P@5"] == 1.0
@@ -341,21 +342,21 @@ class TestEvalHypernyms:
     def test_query_token_excluded_from_candidates(self):
         space = self.ranked_space()
         test = HypernymDataset([("query", ["query", "c1"])])
-        report = eval_hypernyms(space, LinearMap(np.eye(2)), test, k=15)
+        report = eval_hypernyms(SpacePair(space, space), LinearMap(np.eye(2)), test, k=15)
         # the self-candidate can never be retrieved, c1 is rank 1
         assert report.metrics["MRR"] == 1.0
 
     def test_gold_outside_topk_scores_zero(self):
         space = self.ranked_space()
         test = HypernymDataset([("query", ["c3"])])
-        report = eval_hypernyms(space, LinearMap(np.eye(2)), test, k=1)
+        report = eval_hypernyms(SpacePair(space, space), LinearMap(np.eye(2)), test, k=1)
         assert report.metrics["MRR"] == 0.0
         assert report.metrics["MAP"] == 0.0
 
     def test_taxonomy_noiseless_perfect(self):
         tax = make_taxonomy(SyntheticSpec(200, 10, noise_sigma=0.0, seed=9))
-        projection = fit_hypernym_projection(tax.space, tax.train)
-        report = eval_hypernyms(tax.space, projection, tax.test, k=15)
+        projection = fit_hypernym_projection(SpacePair(tax.space, tax.space), tax.train)
+        report = eval_hypernyms(SpacePair(tax.space, tax.space), projection, tax.test, k=15)
         assert report.metrics["MRR"] == 1.0
 
     def test_aligned_pair_retrieves_from_target_only(self):
@@ -374,18 +375,20 @@ class TestEvalHypernyms:
         )
         for query in ("cat", "Cat"):
             test = HypernymDataset([(query, ["animal"])])
-            report = eval_hypernyms(space, LinearMap(np.eye(3)), test, k=1)
+            report = eval_hypernyms(SpacePair(space, space), LinearMap(np.eye(3)), test, k=1)
             assert report.metrics["MRR"] == 1.0, query
 
     def test_zero_resolvable_queries(self):
         space = self.ranked_space()
         with pytest.raises(ValueError, match="no test query"):
-            eval_hypernyms(space, LinearMap(np.eye(2)), HypernymDataset([("zz", ["c1"])]))
+            eval_hypernyms(SpacePair(space, space), LinearMap(np.eye(2)),
+                           HypernymDataset([("zz", ["c1"])]))
 
     def test_unknown_retrieval_mode(self):
         test = HypernymDataset([("query", ["c1"])])
         with pytest.raises(ValueError, match="unknown retrieval mode 'dot'"):
-            eval_hypernyms(self.ranked_space(), LinearMap(np.eye(2)), test, retrieval="dot")
+            eval_hypernyms(SpacePair(self.ranked_space(), self.ranked_space()),
+                           LinearMap(np.eye(2)), test, retrieval="dot")
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=15)
@@ -401,7 +404,8 @@ class TestEvalHypernyms:
                 {f"w{int(i)}" for i in rng.integers(0, n, size=rng.integers(1, 6))}
             )
             entries.append((space.vocab[q], golds))
-        report = eval_hypernyms(space, LinearMap(np.eye(5)), HypernymDataset(entries), k=10)
+        report = eval_hypernyms(SpacePair(space, space), LinearMap(np.eye(5)),
+                                HypernymDataset(entries), k=10)
         assert report.metrics["MRR"] >= report.metrics["MAP"] - 1e-12
 
 
@@ -571,7 +575,7 @@ class TestRowPathMatchesTokenLoop:
         triples += [("zero", "t1", 3.0), ("s1", "ZERO", 4.0), ("Zero", "zero", 5.0)]
         dataset = SimilarityDataset(triples)
         space_a, space_b = with_zero_row(pair.source), with_zero_row(pair.target)
-        report = eval_similarity(space_a, space_b, dataset)
+        report = eval_similarity(SpacePair(space_a, space_b), dataset)
         r, rho, resolved = reference_similarity(space_a, space_b, dataset)
         assert (report.resolved, report.total) == (resolved, len(triples))
         # ghost, the two pairs with nowhere, and the three triples with a zero row
@@ -584,7 +588,9 @@ class TestRowPathMatchesTokenLoop:
     @pytest.mark.parametrize("aligned", [False, True])
     def test_hypernyms(self, seed, retrieval, aligned):
         pair = awkward_pair(seed)
+        # the references take the bare space; the library takes it paired with itself
         space = pair if aligned else pair.target
+        spaces = pair if aligned else SpacePair(pair.target, pair.target)
         train = HypernymDataset(
             [(f"t{i}", [f"t{i + 1}", f"T{i + 2}"]) for i in range(12)]
             + [("only_t", ["t1"]), ("s1", ["only_t", "ghost"]), ("ghost", ["t2"]),
@@ -596,10 +602,10 @@ class TestRowPathMatchesTokenLoop:
                ("ghost", ["t8"]), ("Hund", ["t9"]), ("hund", ["T9"]), ("S3", ["t1"]),
                ("only_t", ["t2", "t3"]), ("Both", ["t6", "t7"])]
         )
-        projection = fit_hypernym_projection(space, train)
+        projection = fit_hypernym_projection(spaces, train)
         assert np.array_equal(projection.matrix, reference_projection(space, train).matrix)
         for k in (1, 3, 10):
-            report = eval_hypernyms(space, projection, test, k=k, retrieval=retrieval, csls_k=3)
+            report = eval_hypernyms(spaces, projection, test, k=k, retrieval=retrieval, csls_k=3)
             want = reference_hypernyms(space, projection, test, k, retrieval, 3)
             assert report == want
             assert report.resolved == (15 if aligned else 14)

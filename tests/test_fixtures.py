@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meemi.alignment import align_supervised
+from meemi.alignment import SpacePair, align_supervised
 from meemi.evaluation import eval_bli, eval_hypernyms, fit_hypernym_projection
 from meemi.fixtures import (
     SyntheticSpec,
@@ -112,16 +112,16 @@ class TestTaxonomy:
 
     def test_noiseless_recovery_and_perfect_mrr(self):
         tax = make_taxonomy(SyntheticSpec(500, 50, noise_sigma=0.0, seed=7))
-        projection = fit_hypernym_projection(tax.space, tax.train)
+        projection = fit_hypernym_projection(SpacePair(tax.space, tax.space), tax.train)
         assert np.abs(projection.matrix - tax.true_map.matrix).max() <= 1e-6
-        report = eval_hypernyms(tax.space, projection, tax.test, k=15)
+        report = eval_hypernyms(SpacePair(tax.space, tax.space), projection, tax.test, k=15)
         assert report.metrics["MRR"] == 1.0
 
     def test_noisy_mrr_regression_pin(self):
         # exact value recorded once for this seed; 0.8 is the hard floor
         tax = make_taxonomy(SyntheticSpec(500, 50, noise_sigma=0.05, seed=7))
-        projection = fit_hypernym_projection(tax.space, tax.train)
-        report = eval_hypernyms(tax.space, projection, tax.test, k=15)
+        projection = fit_hypernym_projection(SpacePair(tax.space, tax.space), tax.train)
+        report = eval_hypernyms(SpacePair(tax.space, tax.space), projection, tax.test, k=15)
         assert report.metrics["MRR"] >= 0.8
         assert report.metrics["MRR"] == pytest.approx(1.0, abs=1e-12)
 
