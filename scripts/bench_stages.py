@@ -128,8 +128,8 @@ def job_inprocess(sizes: dict, work: Path) -> dict:
     quality["shift"] = shift._asdict()
     timed(stages, "build_index_self", build_index, aligned.target, DEFAULT_CSLS_K)
     timed(stages, "induce_dictionary", induce_dictionary, aligned, sizes["cap"])
-    config = AlignmentConfig(self_learning=True, max_iterations=sizes["iterations"],
-                             convergence_tol=1e-12, induction_vocab_cap=sizes["cap"])
+    config = AlignmentConfig(max_iterations=sizes["iterations"], convergence_tol=1e-12,
+                             induction_vocab_cap=sizes["cap"])
     learned = timed(stages, "iterate_self_learning", iterate_self_learning, fx.src, fx.tgt,
                     BilingualLexicon(fx.gold.pairs[:sizes["seed_pairs"]]), config)
     quality["self_learning_iterations"] = learned.iterations_run

@@ -111,15 +111,10 @@ def mean_pair_cosine(
 
 
 def align_supervised(
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
-    lexicon: BilingualLexicon,
-    config: AlignmentConfig | None = None,
+    src: EmbeddingSpace, tgt: EmbeddingSpace, lexicon: BilingualLexicon
 ) -> AlignedPair:
-    """Normalize both spaces, fit Procrustes on the lexicon, map the source."""
-    config = config or AlignmentConfig()
-    if config.self_learning:
-        return iterate_self_learning(src, tgt, lexicon, config)
+    """Normalize both spaces, fit Procrustes once on the lexicon, map the
+    source. Self-learning is ``iterate_self_learning``."""
     pair = SpacePair(src, tgt)
     src_n = apply_normalization(pair.source)
     tgt_n = apply_normalization(pair.target)
@@ -146,7 +141,7 @@ def induce_dictionary(aligned: SpacePair, vocab_cap: int) -> BilingualLexicon:
         raise ValueError(f"vocab_cap must be positive, got {vocab_cap}")
     n_src = min(vocab_cap, len(aligned.source))
     n_tgt = min(vocab_cap, len(aligned.target))
-    s = unit_rows(aligned.source.matrix[:n_src], "source")
+    s32 = unit_rows(aligned.source.matrix[:n_src], "source").astype(np.float32)
     t = unit_rows(aligned.target.matrix[:n_tgt], "target")
     # Error bound of the screen. For unit rows x, y of dimension d, each term
     # x_i*y_i of a float32 score meets at most d + 2 roundings of unit
@@ -160,7 +155,7 @@ def induce_dictionary(aligned: SpacePair, vocab_cap: int) -> BilingualLexicon:
     # s32[best] - 2 err: a row with no other column in that window has
     # j* = best. The window is compared in float64, since top - 2 * err
     # rounds to float32 when top is a float32 scalar.
-    d = s.shape[1]
+    d = s32.shape[1]
     g32, g64 = (d + 2) * 2.0**-24, d * 2.0**-53
     err = (1 + 2.0**-20) * (g32 / (1 - g32) + g64 / (1 - g64)) + 4 * d * 2.0**-126
     nearest = np.empty(n_src, dtype=np.intp)
@@ -172,9 +167,9 @@ def induce_dictionary(aligned: SpacePair, vocab_cap: int) -> BilingualLexicon:
         sims[rows, best] = -np.inf
         if (sims.max(axis=1) >= top - 2 * err).any():
             rescored.append(start)
-            best = np.argmax(s[start:stop] @ t.T, axis=1)
+            best = np.argmax(unit_rows(aligned.source.matrix[start:stop], "source") @ t.T, axis=1)
         nearest[start:stop] = best
-    _score_reduce(s.astype(np.float32), t.astype(np.float32).T, reduce)
+    _score_reduce(s32, t.astype(np.float32).T, reduce)
     log.debug(
         "induce_dictionary: re-scored %d of %d chunks in float64",
         len(rescored), -(-n_src // CHUNK_ROWS),
@@ -240,4 +235,5 @@ def iterate_self_learning(
         "self-learning kept iteration %d of %d: mean induced cosine %.6f",
         best_iteration, iteration, best_score,
     )
-    return AlignedPair(apply_map(best_w, src_n), tgt_n, best_w, iterations_run=iteration)
+    source = mapped if best_iteration == iteration else apply_map(best_w, src_n)
+    return AlignedPair(source, tgt_n, best_w, iterations_run=iteration)

@@ -26,7 +26,8 @@ import os
 import sys
 from pathlib import Path
 
-from .alignment import AlignedPair, AlignmentConfig, SpacePair, align_supervised, induce_dictionary
+from .alignment import (AlignedPair, AlignmentConfig, SpacePair, align_supervised,
+                        induce_dictionary, iterate_self_learning)
 from .embeddings import _run_forked, load_space, save_space
 from .evaluation import (
     DEFAULT_HYPERNYM_K,
@@ -99,16 +100,15 @@ def _emit_report(report, args) -> None:
 
 
 def cmd_align(args) -> int:
-    options = AlignmentConfig(
-        self_learning=args.self_learning,
-        max_iterations=args.max_iter,
-        convergence_tol=args.tol,
-        induction_vocab_cap=args.cap,
-    )
     spaces = _load_pair(args)
     lexicon = load_lexicon(args.dict)
     _, _, kept = resolve_rows(lexicon, spaces.source, spaces.target)
-    pair = align_supervised(spaces.source, spaces.target, lexicon, options)
+    if args.self_learning:
+        options = AlignmentConfig(max_iterations=args.max_iter, convergence_tol=args.tol,
+                                  induction_vocab_cap=args.cap)
+        pair = iterate_self_learning(spaces.source, spaces.target, lexicon, options)
+    else:
+        pair = align_supervised(spaces.source, spaces.target, lexicon)
     out = Path(args.out)
     _write(
         out,

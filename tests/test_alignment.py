@@ -1,4 +1,5 @@
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,11 +65,10 @@ class TestAlignSupervised:
     def test_single_pair_improves_cosine(self):
         fx = make_rotated_pair(SyntheticSpec(310, 300, noise_sigma=0.3, seed=11))
         one = subset(fx.gold, 0, 1)
-        config = AlignmentConfig()
         src_n = apply_normalization(fx.src)
         tgt_n = apply_normalization(fx.tgt)
         before = mean_pair_cosine(src_n, tgt_n, one)
-        pair = align_supervised(fx.src, fx.tgt, one, config)
+        pair = align_supervised(fx.src, fx.tgt, one)
         after = mean_pair_cosine(pair.source, pair.target, one)
         assert after >= before
 
@@ -79,6 +79,11 @@ class TestAlignSupervised:
         with pytest.raises(ValueError, match="mismatch"):
             align_supervised(a, b, BilingualLexicon([("x", "y")]))
 
+    def test_takes_no_config(self):
+        fx = make_rotated_pair(SyntheticSpec(20, 4, seed=2))
+        with pytest.raises(TypeError):
+            align_supervised(fx.src, fx.tgt, fx.gold, AlignmentConfig())
+
     def test_empty_resolved_lexicon(self):
         fx = make_rotated_pair(SyntheticSpec(20, 4, seed=2))
         with pytest.raises(ValueError):
@@ -86,8 +91,7 @@ class TestAlignSupervised:
 
     def test_target_space_never_mapped(self):
         fx = make_rotated_pair(SyntheticSpec(80, 8, noise_sigma=0.1, seed=3))
-        config = AlignmentConfig()
-        pair = align_supervised(fx.src, fx.tgt, subset(fx.gold, 0, 40), config)
+        pair = align_supervised(fx.src, fx.tgt, subset(fx.gold, 0, 40))
         expected = apply_normalization(fx.tgt)
         assert np.array_equal(pair.target.matrix, expected.matrix)
 
@@ -95,8 +99,7 @@ class TestAlignSupervised:
     @settings(max_examples=10)
     def test_source_cosines_preserved(self, seed):
         fx = make_rotated_pair(SyntheticSpec(40, 6, noise_sigma=0.2, seed=seed))
-        config = AlignmentConfig()
-        pair = align_supervised(fx.src, fx.tgt, subset(fx.gold, 0, 20), config)
+        pair = align_supervised(fx.src, fx.tgt, subset(fx.gold, 0, 20))
         normalized = apply_normalization(fx.src)
         def cosines(m):
             u = m / np.linalg.norm(m, axis=1, keepdims=True)
@@ -200,6 +203,24 @@ def rescored_chunks(caplog):
     return int(words[2]), int(words[4])
 
 
+class TestInductionMemory:
+    def test_peak_holds_one_float64_copy(self, caplog):
+        # the float32 copies of both sides, the float64 target, the float32
+        # score block and a float64 fallback block come to about 3.4 capped
+        # matrices; a float64 copy of the source would add one more
+        fx = make_rotated_pair(SyntheticSpec(3000, 300, 3.0, 5))
+        pair = align_supervised(fx.src, fx.tgt, subset(fx.gold, 0, 1500))
+        tracemalloc.start()
+        try:
+            with caplog.at_level(logging.DEBUG, logger="meemi.alignment"):
+                induce_dictionary(pair, 3000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rescored_chunks(caplog) == (4, 12)  # the fallback runs
+        assert peak < 3.8 * pair.source.matrix.nbytes
+
+
 class TestInductionScreen:
     """The float32 screen must return the float64 argmax, ties to the lower index."""
 
@@ -273,7 +294,7 @@ class TestInductionScreen:
 class TestSelfLearning:
     def test_full_gold_converges_quickly(self):
         fx = make_rotated_pair(SyntheticSpec(120, 10, noise_sigma=0.0, seed=5))
-        config = AlignmentConfig(self_learning=True, max_iterations=20, induction_vocab_cap=120)
+        config = AlignmentConfig(max_iterations=20, induction_vocab_cap=120)
         pair = iterate_self_learning(fx.src, fx.tgt, fx.gold, config)
         assert pair.iterations_run <= 2
 
@@ -282,10 +303,8 @@ class TestSelfLearning:
         seed_lex = subset(fx.gold, 0, 25)
         held_out = subset(fx.gold, 200, 400)
         plain = align_supervised(fx.src, fx.tgt, seed_lex)
-        config = AlignmentConfig(
-            self_learning=True, max_iterations=10, induction_vocab_cap=400
-        )
-        boot = align_supervised(fx.src, fx.tgt, seed_lex, config)
+        config = AlignmentConfig(max_iterations=10, induction_vocab_cap=400)
+        boot = iterate_self_learning(fx.src, fx.tgt, seed_lex, config)
         p_plain = eval_bli(plain, held_out, ks=(1,)).metrics["P@1"]
         p_boot = eval_bli(boot, held_out, ks=(1,)).metrics["P@1"]
         assert p_boot >= p_plain
@@ -294,7 +313,7 @@ class TestSelfLearning:
         fx = make_rotated_pair(SyntheticSpec(80, 8, noise_sigma=0.2, seed=6))
         seed_lex = subset(fx.gold, 0, 30)
         plain = align_supervised(fx.src, fx.tgt, seed_lex)
-        config = AlignmentConfig(self_learning=True, max_iterations=1, induction_vocab_cap=80)
+        config = AlignmentConfig(max_iterations=1, induction_vocab_cap=80)
         boot = iterate_self_learning(fx.src, fx.tgt, seed_lex, config)
         assert boot.iterations_run == 1
         assert np.array_equal(boot.source.matrix, plain.source.matrix)
@@ -303,7 +322,7 @@ class TestSelfLearning:
     def test_accepted_score_not_below_first_iteration(self):
         fx = make_rotated_pair(SyntheticSpec(200, 12, noise_sigma=0.5, seed=7))
         seed_lex = subset(fx.gold, 0, 20)
-        config = AlignmentConfig(self_learning=True, max_iterations=8, induction_vocab_cap=200)
+        config = AlignmentConfig(max_iterations=8, induction_vocab_cap=200)
         first = align_supervised(fx.src, fx.tgt, seed_lex)
         final = iterate_self_learning(fx.src, fx.tgt, seed_lex, config)
         cap = config.induction_vocab_cap
@@ -314,6 +333,39 @@ class TestSelfLearning:
             final.source, final.target, induce_dictionary(final, cap)
         )
         assert score_final >= score_first - 1e-12
+
+
+class TestSelfLearningMaps:
+    """With the scores fixed, count the maps the loop makes."""
+
+    def run(self, monkeypatch, scores):
+        fx = make_rotated_pair(SyntheticSpec(80, 8, noise_sigma=0.2, seed=6))
+        seed = subset(fx.gold, 0, 30)
+        maps = []
+        def counted(w, space):
+            maps.append(w)
+            return apply_map(w, space)
+        score = iter(scores)
+        monkeypatch.setattr("meemi.alignment.apply_map", counted)
+        monkeypatch.setattr("meemi.alignment.mean_pair_cosine", lambda *args: next(score))
+        config = AlignmentConfig(max_iterations=3, induction_vocab_cap=80)
+        return fx, seed, maps, iterate_self_learning(fx.src, fx.tgt, seed, config)
+
+    def test_kept_last_iteration_is_not_mapped_again(self, monkeypatch):
+        fx, _, maps, got = self.run(monkeypatch, [0.1, 0.2, 0.3])
+        assert got.iterations_run == 3 and len(maps) == 3
+        assert got.map is maps[-1]
+        expected = apply_map(got.map, apply_normalization(fx.src))
+        assert np.array_equal(got.source.matrix, expected.matrix)
+
+    def test_kept_earlier_iteration_is_mapped_again(self, monkeypatch):
+        fx, seed, maps, got = self.run(monkeypatch, [0.5, 0.4])
+        assert got.iterations_run == 2 and len(maps) == 3
+        assert got.map is maps[0] is maps[-1]
+        plain = align_supervised(fx.src, fx.tgt, seed)
+        assert np.array_equal(got.map.matrix, plain.map.matrix)
+        assert np.array_equal(got.source.matrix, plain.source.matrix)
+        assert np.array_equal(got.target.matrix, plain.target.matrix)
 
 
 def reference_self_learning(src, tgt, seed_lexicon, config):
@@ -384,7 +436,7 @@ class TestSelfLearningOnRows:
     def test_matches_token_loop(self, max_iterations, cap, tol):
         fx = make_rotated_pair(SyntheticSpec(300, 16, noise_sigma=0.4, seed=8))
         seed = awkward_seed(fx)
-        config = AlignmentConfig(self_learning=True, max_iterations=max_iterations,
+        config = AlignmentConfig(max_iterations=max_iterations,
                                  convergence_tol=tol, induction_vocab_cap=cap)
         expected, fold_repeats = reference_self_learning(fx.src, fx.tgt, seed, config)
         got = iterate_self_learning(fx.src, fx.tgt, seed, config)
@@ -399,8 +451,7 @@ class TestSelfLearningOnRows:
     @settings(max_examples=8)
     def test_matches_token_loop_on_random_fixtures(self, seed):
         fx = make_rotated_pair(SyntheticSpec(120, 6, noise_sigma=0.8, seed=seed))
-        config = AlignmentConfig(self_learning=True, max_iterations=4,
-                                 convergence_tol=1e-12, induction_vocab_cap=90)
+        config = AlignmentConfig(max_iterations=4, convergence_tol=1e-12, induction_vocab_cap=90)
         lexicon = awkward_seed(fx)
         expected, _ = reference_self_learning(fx.src, fx.tgt, lexicon, config)
         got = iterate_self_learning(fx.src, fx.tgt, lexicon, config)
@@ -410,7 +461,7 @@ class TestSelfLearningOnRows:
 
     def test_errors_of_resolve_kept(self):
         fx = make_rotated_pair(SyntheticSpec(20, 4, seed=2))
-        config = AlignmentConfig(self_learning=True)
+        config = AlignmentConfig()
         with pytest.raises(ValueError, match="cannot resolve an empty lexicon"):
             iterate_self_learning(fx.src, fx.tgt, BilingualLexicon([]), config)
         with pytest.raises(ValueError, match="no lexicon pair resolves"):
@@ -419,8 +470,7 @@ class TestSelfLearningOnRows:
     def test_trace_in_logs(self, caplog):
         fx = make_rotated_pair(SyntheticSpec(200, 12, noise_sigma=0.5, seed=7))
         seed = BilingualLexicon(fx.gold.pairs[:20] + [("NOPE", "nada")])
-        config = AlignmentConfig(self_learning=True, max_iterations=3,
-                                 convergence_tol=1e-12, induction_vocab_cap=150)
+        config = AlignmentConfig(max_iterations=3, convergence_tol=1e-12, induction_vocab_cap=150)
         with caplog.at_level(logging.DEBUG, logger="meemi.alignment"):
             pair = iterate_self_learning(fx.src, fx.tgt, seed, config)
         debug = [r.getMessage() for r in caplog.records if r.levelno == logging.DEBUG]

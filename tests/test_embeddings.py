@@ -19,6 +19,7 @@ from meemi.embeddings import (
     load_space,
     normalize_unit,
     save_space,
+    unit_rows,
 )
 from meemi.lexicon import load_hypernyms, load_lexicon, load_similarity
 from meemi.refinement import load_meemi
@@ -652,6 +653,19 @@ class TestNormalize:
     def test_unit_rows(self):
         norms = np.linalg.norm(normalize_unit(random_space(2)).matrix, axis=1)
         assert np.abs(norms - 1).max() <= 1e-9
+
+    @given(seed=st.integers(0, 10_000))
+    @settings(max_examples=40)
+    def test_unit_rows_of_a_row_block_equal_that_block_of_the_whole(self, seed):
+        """Rows are divided one by one, so a block re-divided alone keeps its bits."""
+        rng = np.random.default_rng(seed)
+        n, d = int(rng.integers(1, 600)), int(rng.integers(1, 400))
+        scales = 10.0 ** rng.uniform(-150, 150, (n, 1))
+        matrix = rng.standard_normal((n, d)) * scales
+        start = int(rng.integers(0, n))
+        stop = int(rng.integers(start + 1, n + 1))
+        whole = unit_rows(matrix)
+        assert unit_rows(matrix[start:stop]).tobytes() == whole[start:stop].tobytes()
 
 
 class TestLookup:
