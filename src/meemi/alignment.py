@@ -34,7 +34,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace, unit_rows
 from .lexicon import BilingualLexicon, resolve_rows
-from .retrieval import CHUNK_ROWS, _score_reduce
+from .retrieval import CHUNK_ROWS, _score_chunks
 from .solvers import LinearMap, apply_map, fit_procrustes
 
 log = logging.getLogger(__name__)
@@ -159,20 +159,19 @@ def induce_dictionary(aligned: SpacePair, vocab_cap: int) -> BilingualLexicon:
     g32, g64 = (d + 2) * 2.0**-24, d * 2.0**-53
     err = (1 + 2.0**-20) * (g32 / (1 - g32) + g64 / (1 - g64)) + 4 * d * 2.0**-126
     nearest = np.empty(n_src, dtype=np.intp)
-    rescored = []
-    def reduce(start, stop, sims):
+    rescored = 0
+    for start, stop, sims in _score_chunks(s32, t.astype(np.float32).T):
         rows = np.arange(stop - start)
         best = np.argmax(sims, axis=1)
         top = sims[rows, best].astype(np.float64)
         sims[rows, best] = -np.inf
         if (sims.max(axis=1) >= top - 2 * err).any():
-            rescored.append(start)
+            rescored += 1
             best = np.argmax(unit_rows(aligned.source.matrix[start:stop], "source") @ t.T, axis=1)
         nearest[start:stop] = best
-    _score_reduce(s32, t.astype(np.float32).T, reduce)
     log.debug(
         "induce_dictionary: re-scored %d of %d chunks in float64",
-        len(rescored), -(-n_src // CHUNK_ROWS),
+        rescored, -(-n_src // CHUNK_ROWS),
     )
     return BilingualLexicon(
         [(aligned.source.vocab[i], aligned.target.vocab[j]) for i, j in enumerate(nearest)]
@@ -210,6 +209,7 @@ def iterate_self_learning(
     best_score, best_iteration = -np.inf, 0
     previous = -np.inf
     for iteration in range(1, config.max_iterations + 1):
+        mapped = None  # drop the last iteration's space before the next is built
         w = fit_procrustes(src_n.matrix[rows_src], tgt_n.matrix[rows_tgt])
         mapped = apply_map(w, src_n)
         induced = induce_dictionary(SpacePair(mapped, tgt_n), config.induction_vocab_cap)

@@ -244,7 +244,7 @@ def eval_hypernyms(
         raise ValueError("no test query resolves in the embedding space")
     projected = queries[kept] @ projection.matrix
     # one extra rank so dropping the query's own row still leaves k
-    idx, _ = _topk(projected, candidates, min(k + 1, len(candidates)), retrieval, csls_k)
+    idx, _ = _topk(projected, candidates, k + 1, retrieval, csls_k)
     hit = np.isin(np.flatnonzero(kept)[:, None] * len(candidates) + idx, keys)
     own = candidates.rows_of(tokens)[kept]
     rr, ap, p5 = [], [], []

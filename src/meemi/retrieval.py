@@ -9,9 +9,9 @@ hub vectors from dominating nearest-neighbor retrieval.
 
 Search is exact brute force. Ties are broken by ascending vocabulary
 index, so results are reproducible. Queries are scored in chunks of
-CHUNK_ROWS rows, each reduced (top-k, mean top-k or argmax) before the
-next, so each temporary peaks at CHUNK_ROWS x V floats. Chunks run one
-after another; BLAS parallelises each chunk. Results come back in input
+CHUNK_ROWS rows into one reused CHUNK_ROWS x V block, each chunk reduced
+(top-k, mean top-k or argmax) before the next is scored over it. Chunks run
+one after another; BLAS parallelises each chunk. Results come back in input
 order.
 """
 
@@ -53,15 +53,16 @@ def worker_count() -> int:
     return 1
 
 
-def _score_reduce(queries: np.ndarray, target_t: np.ndarray, reduce) -> None:
-    """Call reduce(start, stop, queries[start:stop] @ target_t) per row chunk.
+def _score_chunks(queries: np.ndarray, target_t: np.ndarray):
+    """Yield (start, stop, queries[start:stop] @ target_t) per chunk of CHUNK_ROWS rows.
 
-    ``reduce`` owns the score block and writes into outputs the caller made.
+    Every block is a view of one buffer: it holds until the next is yielded.
     """
     m = queries.shape[0]
+    buffer = np.empty((min(m, CHUNK_ROWS), target_t.shape[1]), np.result_type(queries, target_t))
     for start in range(0, m, CHUNK_ROWS):
         stop = min(start + CHUNK_ROWS, m)
-        reduce(start, stop, queries[start:stop] @ target_t)
+        yield start, stop, np.matmul(queries[start:stop], target_t, out=buffer[:stop - start])
 
 
 def _stable_topk(scores: np.ndarray, k: int) -> np.ndarray:
@@ -109,17 +110,16 @@ def build_index(
             raise ValueError("csls_k exceeds the registered source vocabulary")
         other = unit_rows(source_space.matrix, "source")
     density = np.empty(len(space), dtype=np.float64)
-    def reduce(start, stop, sims):
+    for start, stop, sims in _score_chunks(unit.matrix, other.T):
         if source_space is None:
             sims[np.arange(stop - start), np.arange(start, stop)] = -np.inf
         density[start:stop] = _mean_topk(sims, csls_k)
-    _score_reduce(unit.matrix, other.T, reduce)
     return RetrievalIndex(unit, csls_k, density)
 
 
-def _search(queries, target_rows: np.ndarray, k: int, score=None) -> tuple[np.ndarray, np.ndarray]:
-    """Top-k of every query row against unit ``target_rows`` by cosine, or by the
-    scores ``score(cos)`` writes over each chunk's cosine block; returns (indexes, scores)."""
+def _search(queries, target_rows: np.ndarray, k: int, index=None) -> tuple[np.ndarray, np.ndarray]:
+    """Top-k of every query row against unit ``target_rows`` by cosine, or by CSLS
+    under the RetrievalIndex ``index`` when given; returns (indexes, scores)."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     k = min(k, len(target_rows))
@@ -129,12 +129,14 @@ def _search(queries, target_rows: np.ndarray, k: int, score=None) -> tuple[np.nd
         raise ValueError(f"query dimension {q_dim} != target dimension {t_dim}")
     idx = np.empty((queries.shape[0], k), dtype=np.intp)
     top = np.empty((queries.shape[0], k), dtype=np.float64)
-    def reduce(start, stop, sims):
-        if score is not None:
-            score(sims)
+    for start, stop, sims in _score_chunks(unit_rows(queries, "query"), target_rows.T):
+        if index is not None:
+            r_query = _mean_topk(sims.copy(), index.csls_k)
+            sims *= 2.0
+            sims -= r_query[:, None]
+            sims -= index.csls_density[None, :]
         idx[start:stop] = _stable_topk(sims, k)
         top[start:stop] = np.take_along_axis(sims, idx[start:stop], axis=1)
-    _score_reduce(unit_rows(queries, "query"), target_rows.T, reduce)
     return idx, top
 
 
@@ -152,9 +154,4 @@ def batch_csls_topk(
 
     r_T of each query is its mean cosine to its csls_k nearest index rows.
     """
-    def csls(cos):
-        r_query = _mean_topk(cos.copy(), index.csls_k)
-        cos *= 2.0
-        cos -= r_query[:, None]
-        cos -= index.csls_density[None, :]
-    return _search(queries, index.space.matrix, k, csls)
+    return _search(queries, index.space.matrix, k, index)

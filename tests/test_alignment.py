@@ -368,6 +368,26 @@ class TestSelfLearningMaps:
         assert np.array_equal(got.target.matrix, plain.target.matrix)
 
 
+class TestSelfLearningMemory:
+    def test_peak_holds_one_mapped_space(self, monkeypatch):
+        # the normalized source and target, the one mapped space and the
+        # normalization's temporaries come to about 3.3 matrices; keeping the
+        # last iteration's mapped space while the next is built adds one more
+        fx = make_rotated_pair(SyntheticSpec(4000, 300, 2.7, 1))
+        seed = subset(fx.gold, 0, 200)
+        score = iter([0.1, 0.2, 0.3])
+        monkeypatch.setattr("meemi.alignment.mean_pair_cosine", lambda *args: next(score))
+        config = AlignmentConfig(max_iterations=3, induction_vocab_cap=200)
+        tracemalloc.start()
+        try:
+            got = iterate_self_learning(fx.src, fx.tgt, seed, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got.iterations_run == 3
+        assert peak < 3.9 * fx.src.matrix.nbytes
+
+
 def reference_self_learning(src, tgt, seed_lexicon, config):
     """The token-based loop: every iteration resolves a lexicon, induces
     token pairs and merges them into the seed by token.

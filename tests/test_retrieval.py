@@ -7,6 +7,7 @@ from meemi.embeddings import EmbeddingSpace, unit_rows
 from meemi.retrieval import (
     CHUNK_ROWS,
     _mean_topk,
+    _score_chunks,
     _stable_topk,
     batch_cosine_topk,
     batch_csls_topk,
@@ -300,6 +301,26 @@ class TestOracleAgreement:
         for q, query in enumerate(queries):
             assert list(cos_idx[q]) == oracle_cosine_ranking(matrix, query)[:k]
             assert list(csls_idx[q]) == oracle_csls_ranking(matrix, query, csls_k=3)[:k]
+
+
+class TestScoreChunks:
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("m", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 600])
+    def test_blocks_tile_the_queries_in_one_buffer(self, dtype, m):
+        rng = np.random.default_rng(m)
+        queries = rng.standard_normal((m, 7)).astype(dtype)
+        t = rng.standard_normal((40, 7)).astype(dtype)  # scored as t.T, a transposed view
+        bounds, first = [], None
+        for start, stop, block in _score_chunks(queries, t.T):
+            # checked as each block is yielded, since the next one overwrites it
+            first = block if first is None else first
+            bounds.append((start, stop))
+            expected = queries[start:stop] @ t.T
+            assert block.dtype == expected.dtype == dtype
+            assert block.tobytes() == expected.tobytes()
+            assert np.shares_memory(block, first)
+        edges = list(range(0, m, CHUNK_ROWS)) + [m]
+        assert bounds == list(zip(edges[:-1], edges[1:]))
 
 
 class TestStableTopk:
