@@ -9,11 +9,11 @@ language are preserved.
 An optional self-learning loop alternates fitting with dictionary
 induction over the most frequent words (file order is taken to be
 frequency order), keeping the best-scoring iteration. Training sets are
-row indexes: the seed lexicon is resolved to rows once, and each iteration
-trains on the seed rows followed by every induced (source row, nearest
-target row) pair that does not repeat a seed pair. Pairs compare by
-token, so an induced pair repeats a seed pair only when both seed tokens
-are exact vocabulary tokens; seed pairs that resolve through the
+row indexes: the seed lexicon is resolved to rows once, induction returns
+each source row's nearest target row, and each iteration trains on the
+seed rows followed by every induced pair that does not repeat a seed
+pair. An induced pair repeats a seed pair only when both seed tokens are
+exact vocabulary tokens of its rows; seed pairs that resolve through the
 lowercase fold, and repeated seed pairs, stay as extra rows.
 
 Induction takes each source row's cosine argmax in two steps. A float32
@@ -102,12 +102,9 @@ def pair_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a * b).sum(axis=1)
 
 
-def mean_pair_cosine(
-    src: EmbeddingSpace, tgt: EmbeddingSpace, lexicon: BilingualLexicon
-) -> float:
-    """Mean cosine between the resolved pairs of a lexicon."""
-    src_idx, tgt_idx, kept = resolve_rows(lexicon, src, tgt)
-    return float(pair_cosines(src.matrix[src_idx[kept]], tgt.matrix[tgt_idx[kept]]).mean())
+def mean_pair_cosine(src: EmbeddingSpace, tgt: EmbeddingSpace, nearest: np.ndarray) -> float:
+    """Mean cosine between each source row ``i`` and target row ``nearest[i]``."""
+    return float(pair_cosines(src.matrix[:len(nearest)], tgt.matrix[nearest]).mean())
 
 
 def align_supervised(
@@ -123,11 +120,12 @@ def align_supervised(
     return AlignedPair(apply_map(w, src_n), tgt_n, w, iterations_run=1)
 
 
-def induce_dictionary(aligned: SpacePair, vocab_cap: int) -> BilingualLexicon:
-    """Pair each frequent source token with its cosine nearest target token.
+def induce_dictionary(aligned: SpacePair, vocab_cap: int) -> np.ndarray:
+    """The cosine nearest target row of each frequent source row.
 
-    Both sides are truncated to their first ``vocab_cap`` tokens (file
-    order = frequency order). Ties go to the lower target index.
+    Both sides are truncated to their first ``vocab_cap`` rows (file order
+    = frequency order): ``nearest[i]`` is the target row paired with
+    source row ``i``. Ties go to the lower target index.
 
     Cosines are screened in float32. A row keeps its float32 argmax only
     when every other column trails it by more than twice a bound on the
@@ -173,9 +171,7 @@ def induce_dictionary(aligned: SpacePair, vocab_cap: int) -> BilingualLexicon:
         "induce_dictionary: re-scored %d of %d chunks in float64",
         rescored, -(-n_src // CHUNK_ROWS),
     )
-    return BilingualLexicon(
-        [(aligned.source.vocab[i], aligned.target.vocab[j]) for i, j in enumerate(nearest)]
-    )
+    return nearest
 
 
 def iterate_self_learning(
@@ -201,23 +197,22 @@ def iterate_self_learning(
     src_n = apply_normalization(pair.source)
     tgt_n = apply_normalization(pair.target)
     seed_src, seed_tgt, kept = resolve_rows(seed_lexicon, src_n, tgt_n)
+    # (row, row) keys of the seed pairs an induced pair can repeat
+    exact = [s in src_n and t in tgt_n for s, t in seed_lexicon.pairs]
+    repeats = seed_src[exact] * len(tgt_n) + seed_tgt[exact]
     seed_src, seed_tgt = seed_src[kept], seed_tgt[kept]
-    seed_pairs = set(seed_lexicon.pairs)
     rows_src, rows_tgt = seed_src, seed_tgt
     nearest = None
     best_w: LinearMap | None = None
-    best_score, best_iteration = -np.inf, 0
-    previous = -np.inf
+    best_score, best_iteration, previous = -np.inf, 0, -np.inf
     for iteration in range(1, config.max_iterations + 1):
         mapped = None  # drop the last iteration's space before the next is built
         w = fit_procrustes(src_n.matrix[rows_src], tgt_n.matrix[rows_tgt])
         mapped = apply_map(w, src_n)
-        induced = induce_dictionary(SpacePair(mapped, tgt_n), config.induction_vocab_cap)
-        score = mean_pair_cosine(mapped, tgt_n, induced)
-        # induced tokens are exact vocabulary tokens, so these are their own rows
         last = nearest
-        induced_src, nearest, _ = resolve_rows(induced, mapped, tgt_n)
-        new = np.array([pair not in seed_pairs for pair in induced.pairs], dtype=bool)
+        nearest = induce_dictionary(SpacePair(mapped, tgt_n), config.induction_vocab_cap)
+        score = mean_pair_cosine(mapped, tgt_n, nearest)
+        new = ~np.isin(np.arange(nearest.size) * len(tgt_n) + nearest, repeats)
         changed = 1.0 if last is None else float(np.mean(nearest != last))
         log.debug(
             "self-learning iteration %d: %d training rows, mean induced cosine %.6f, "
@@ -229,11 +224,13 @@ def iterate_self_learning(
         if score - previous < config.convergence_tol:
             break
         previous = score
-        rows_src = np.concatenate([seed_src, induced_src[new]])
+        rows_src = np.concatenate([seed_src, np.flatnonzero(new)])
         rows_tgt = np.concatenate([seed_tgt, nearest[new]])
     log.info(
         "self-learning kept iteration %d of %d: mean induced cosine %.6f",
         best_iteration, iteration, best_score,
     )
-    source = mapped if best_iteration == iteration else apply_map(best_w, src_n)
-    return AlignedPair(source, tgt_n, best_w, iterations_run=iteration)
+    if best_iteration < iteration:
+        mapped = None  # drop the last iteration's space before the kept one is mapped
+        mapped = apply_map(best_w, src_n)
+    return AlignedPair(mapped, tgt_n, best_w, iterations_run=iteration)

@@ -40,6 +40,7 @@ from .evaluation import (
 )
 from .fixtures import SyntheticSpec, make_hub_set, make_rotated_pair, make_taxonomy
 from .lexicon import (
+    BilingualLexicon,
     load_hypernyms,
     load_lexicon,
     load_similarity,
@@ -145,7 +146,8 @@ def cmd_refine(args) -> int:
 
 def cmd_induce(args) -> int:
     pair = _load_pair(args)
-    induced = induce_dictionary(pair, args.cap)
+    induced = BilingualLexicon([(pair.source.vocab[i], pair.target.vocab[j])
+                                for i, j in enumerate(induce_dictionary(pair, args.cap))])
     save_lexicon(induced, args.out)
     print(f"induced {len(induced)} pairs")
     return 0

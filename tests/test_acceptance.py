@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from meemi.alignment import SpacePair, align_supervised, mean_pair_cosine
+from meemi.alignment import SpacePair, align_supervised
 from meemi.embeddings import EmbeddingSpace, load_space, save_space
 from meemi.evaluation import (
     eval_bli,
@@ -29,6 +29,7 @@ from meemi.lexicon import BilingualLexicon, HypernymDataset, SimilarityDataset
 from meemi.refinement import apply_meemi, fit_meemi, similarity_shift_report
 from meemi.retrieval import batch_cosine_topk, batch_csls_topk, build_index
 from meemi.solvers import LinearMap, fit_least_squares, fit_procrustes
+from test_alignment import lexicon_cosine
 
 
 def announce(number, message):
@@ -104,10 +105,10 @@ def test_criterion_04_refinement_brings_pairs_closer():
     train = BilingualLexicon(fx.gold.pairs[:100])
     test = BilingualLexicon(fx.gold.pairs[100:300])
     pair = align_supervised(fx.src, fx.tgt, train)
-    baseline_cos = mean_pair_cosine(pair.source, pair.target, train)
+    baseline_cos = lexicon_cosine(pair.source, pair.target, train)
     baseline_p1 = eval_bli(pair, test, ks=(1,)).metrics["P@1"]
     refined = apply_meemi(fit_meemi(pair, train), pair)
-    refined_cos = mean_pair_cosine(refined.source, refined.target, train)
+    refined_cos = lexicon_cosine(refined.source, refined.target, train)
     refined_p1 = eval_bli(refined, test, ks=(1,)).metrics["P@1"]
     shift = similarity_shift_report(pair, refined, train)
     elapsed = time.perf_counter() - start
@@ -136,7 +137,7 @@ def test_criterion_05_exact_interpolation():
     src_residual = np.linalg.norm(src.matrix @ model.map_src.matrix - mu, axis=1).max()
     tgt_residual = np.linalg.norm(tgt.matrix @ model.map_tgt.matrix - mu, axis=1).max()
     refined = apply_meemi(model, pair)
-    cos = mean_pair_cosine(refined.source, refined.target, lexicon)
+    cos = lexicon_cosine(refined.source, refined.target, lexicon)
     assert src_residual <= 1e-8
     assert tgt_residual <= 1e-8
     assert abs(cos - 1.0) <= 1e-6

@@ -15,11 +15,12 @@ from meemi.alignment import (
     induce_dictionary,
     iterate_self_learning,
     mean_pair_cosine,
+    pair_cosines,
 )
 from meemi.embeddings import EmbeddingSpace
 from meemi.evaluation import eval_bli
 from meemi.fixtures import SyntheticSpec, make_rotated_pair
-from meemi.lexicon import BilingualLexicon, resolve
+from meemi.lexicon import BilingualLexicon, resolve, resolve_rows
 from meemi.solvers import LinearMap, apply_map, fit_procrustes
 from test_retrieval import exact_tie_rows
 
@@ -67,9 +68,9 @@ class TestAlignSupervised:
         one = subset(fx.gold, 0, 1)
         src_n = apply_normalization(fx.src)
         tgt_n = apply_normalization(fx.tgt)
-        before = mean_pair_cosine(src_n, tgt_n, one)
+        before = lexicon_cosine(src_n, tgt_n, one)
         pair = align_supervised(fx.src, fx.tgt, one)
-        after = mean_pair_cosine(pair.source, pair.target, one)
+        after = lexicon_cosine(pair.source, pair.target, one)
         assert after >= before
 
     def test_dimension_mismatch(self):
@@ -164,9 +165,9 @@ class TestInduce:
         return fx, align_supervised(fx.src, fx.tgt, fx.gold)
 
     def test_perfect_alignment_recovers_counterparts(self):
-        fx, pair = self.aligned_fixture()
+        _, pair = self.aligned_fixture()  # gold pairs row i with row i
         induced = induce_dictionary(pair, vocab_cap=60)
-        assert induced.pairs == fx.gold.pairs
+        assert np.array_equal(induced, np.arange(60))
 
     def test_cap_one(self):
         _, pair = self.aligned_fixture()
@@ -183,6 +184,20 @@ class TestInduce:
         induced = induce_dictionary(pair, vocab_cap=10_000)
         assert len(induced) == len(fx.src.vocab)
 
+    @pytest.mark.parametrize("n_src, n_tgt, cap", [
+        (50, 30, 40), (50, 30, 10_000), (30, 50, 40), (50, 30, 20), (1, 1, 5),
+    ])
+    def test_returns_one_capped_target_row_per_capped_source_row(self, n_src, n_tgt, cap):
+        rng = np.random.default_rng(n_src + n_tgt + cap)
+        src = EmbeddingSpace([f"s{i}" for i in range(n_src)], rng.standard_normal((n_src, 6)))
+        tgt = EmbeddingSpace([f"t{j}" for j in range(n_tgt)], rng.standard_normal((n_tgt, 6)))
+        nearest = induce_dictionary(SpacePair(src, tgt), vocab_cap=cap)
+        assert nearest.dtype == np.intp
+        assert nearest.shape == (min(cap, n_src),)
+        assert 0 <= nearest.min() and nearest.max() < min(cap, n_tgt)
+        assert np.array_equal(nearest, np.argmax(
+            unit(src.matrix[:cap]) @ unit(tgt.matrix[:cap]).T, axis=1))
+
 
 def unit(matrix):
     return matrix / np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -192,8 +207,13 @@ def induced_rows(s, t):
     """Target row induce_dictionary pairs with each source row."""
     src = EmbeddingSpace([f"s{i}" for i in range(len(s))], s)
     tgt = EmbeddingSpace([f"t{j}" for j in range(len(t))], t)
-    induced = induce_dictionary(SpacePair(src, tgt), vocab_cap=max(len(s), len(t)))
-    return np.array([int(target[1:]) for _, target in induced.pairs])
+    return induce_dictionary(SpacePair(src, tgt), vocab_cap=max(len(s), len(t)))
+
+
+def lexicon_cosine(src, tgt, lexicon):
+    """Mean cosine between the resolved pairs of a lexicon."""
+    src_idx, tgt_idx, kept = resolve_rows(lexicon, src, tgt)
+    return float(pair_cosines(src.matrix[src_idx[kept]], tgt.matrix[tgt_idx[kept]]).mean())
 
 
 def rescored_chunks(caplog):
@@ -369,13 +389,16 @@ class TestSelfLearningMaps:
 
 
 class TestSelfLearningMemory:
-    def test_peak_holds_one_mapped_space(self, monkeypatch):
+    @pytest.mark.parametrize("scores", [[0.1, 0.2, 0.3], [0.5, 0.4]],
+                             ids=["last_kept", "earlier_kept"])
+    def test_peak_holds_one_mapped_space(self, monkeypatch, scores):
         # the normalized source and target, the one mapped space and the
         # normalization's temporaries come to about 3.3 matrices; keeping the
-        # last iteration's mapped space while the next is built adds one more
+        # last iteration's mapped space while the next is built, or while an
+        # earlier kept iteration is mapped again, adds one more
         fx = make_rotated_pair(SyntheticSpec(4000, 300, 2.7, 1))
         seed = subset(fx.gold, 0, 200)
-        score = iter([0.1, 0.2, 0.3])
+        score = iter(scores)
         monkeypatch.setattr("meemi.alignment.mean_pair_cosine", lambda *args: next(score))
         config = AlignmentConfig(max_iterations=3, induction_vocab_cap=200)
         tracemalloc.start()
@@ -384,7 +407,7 @@ class TestSelfLearningMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert got.iterations_run == 3
+        assert got.iterations_run == len(scores)
         assert peak < 3.9 * fx.src.matrix.nbytes
 
 
@@ -413,7 +436,9 @@ def reference_self_learning(src, tgt, seed_lexicon, config):
         iterations = iteration
         w = fit_procrustes(*rows(src_n, tgt_n, current))
         mapped = apply_map(w, src_n)
-        induced = induce_dictionary(SpacePair(mapped, tgt_n), config.induction_vocab_cap)
+        nearest = induce_dictionary(SpacePair(mapped, tgt_n), config.induction_vocab_cap)
+        induced = BilingualLexicon(
+            [(mapped.vocab[i], tgt_n.vocab[j]) for i, j in enumerate(nearest)])
         a, b = rows(mapped, tgt_n, induced)
         a = a / np.linalg.norm(a, axis=1, keepdims=True)
         b = b / np.linalg.norm(b, axis=1, keepdims=True)

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from meemi.alignment import AlignedPair, SpacePair, align_supervised, mean_pair_cosine
+from meemi.alignment import AlignedPair, SpacePair, align_supervised
 from meemi.embeddings import EmbeddingSpace
 from meemi.fixtures import SyntheticSpec, make_rotated_pair
 from meemi.lexicon import BilingualLexicon
@@ -17,6 +17,7 @@ from meemi.refinement import (
     similarity_shift_report,
 )
 from meemi.solvers import LinearMap
+from test_alignment import lexicon_cosine
 
 
 def self_lexicon(space: EmbeddingSpace) -> BilingualLexicon:
@@ -73,16 +74,16 @@ class TestFitMeemi:
         assert np.linalg.norm(src.matrix @ model.map_src.matrix - mu) <= 1e-8
         assert np.linalg.norm(tgt.matrix @ model.map_tgt.matrix - mu) <= 1e-8
         refined = apply_meemi(model, pair)
-        cos = mean_pair_cosine(refined.source, refined.target, lexicon)
+        cos = lexicon_cosine(refined.source, refined.target, lexicon)
         assert cos == pytest.approx(1.0, abs=1e-6)
 
     def test_large_lexicon_strictly_raises_mean_cosine(self):
         fx = make_rotated_pair(SyntheticSpec(5500, 64, noise_sigma=0.8, seed=11))
         train = BilingualLexicon(fx.gold.pairs[:5000])
         pair = align_supervised(fx.src, fx.tgt, train)
-        before = mean_pair_cosine(pair.source, pair.target, train)
+        before = lexicon_cosine(pair.source, pair.target, train)
         refined = apply_meemi(fit_meemi(pair, train), pair)
-        after = mean_pair_cosine(refined.source, refined.target, train)
+        after = lexicon_cosine(refined.source, refined.target, train)
         assert after > before
 
     def test_symmetry_under_role_swap(self):
