@@ -20,7 +20,10 @@ for that child; Linux gives it in KiB):
 - ``stretched``: the non-isometric pair of the acceptance check that
   refinement beats alignment: 2000 x 100, each target axis stretched by
   exp(0.7 z), then noise of sigma 3, for seeds 0-4. It aligns on 1000 gold
-  pairs and evaluates on the next 500.
+  pairs and evaluates on the next 500: BLI, and the Spearman correlation of
+  cross-lingual similarity on the held-out words (as in that check: each
+  word paired with its nearest other held-out word and with a random one,
+  scored by the cosine of their source vectors).
 - ``cli``: the 50k pair written by ``meemi fixture rotated``, then
   ``align``, ``refine`` and ``eval bli --retrieval csls`` on both states,
   one child process per command, each loading the sidecars.
@@ -32,7 +35,8 @@ The JSON at ``--out`` holds each stage's numbers, each process's wall time
 and peak RSS, the environment (git commit, Python, numpy, its BLAS, the
 BLAS thread variables, CPUs), and the quality numbers. These are P@1/5/10
 under cosine and CSLS, aligned and refined, and the held-out shift for the
-rotated pair, the CLI's CSLS P@k, and the stretched pair's P@k per seed.
+rotated pair, the CLI's CSLS P@k, and the stretched pair's P@k and Spearman
+per seed with the smallest gain of each.
 The CLI's CSLS P@k must equal the library's; otherwise the script still
 writes the JSON but exits 1. Nothing is measured outside this script's
 own processes. Nothing is written outside ``--out`` and one temporary
@@ -65,10 +69,10 @@ from meemi.alignment import (
     induce_dictionary,
     iterate_self_learning,
 )
-from meemi.embeddings import EmbeddingSpace, load_space, save_space
-from meemi.evaluation import RETRIEVAL_MODES, eval_bli
+from meemi.embeddings import EmbeddingSpace, load_space, save_space, unit_rows
+from meemi.evaluation import RETRIEVAL_MODES, eval_bli, eval_similarity
 from meemi.fixtures import SyntheticSpec, make_rotated_pair
-from meemi.lexicon import BilingualLexicon, load_lexicon, save_lexicon
+from meemi.lexicon import BilingualLexicon, SimilarityDataset, load_lexicon, save_lexicon
 from meemi.refinement import apply_meemi, fit_meemi, similarity_shift_report
 from meemi.retrieval import DEFAULT_CSLS_K, build_index
 
@@ -142,6 +146,20 @@ def job_inprocess(sizes: dict, work: Path) -> dict:
     return {"stages": stages, "quality": quality}
 
 
+def held_out_similarity(src: EmbeddingSpace, pairs: list, start: int, seed: int):
+    """Cross-lingual similarity triples as tests/test_acceptance.py's
+    held_out_similarity builds them: held-out pair ``i`` is source row
+    ``start + i``, and each is paired with its nearest other held-out word
+    by source cosine and with a random one, scored by that cosine."""
+    latent = unit_rows(src.matrix[start:start + len(pairs)])
+    sims = latent @ latent.T
+    np.fill_diagonal(sims, -np.inf)
+    partners = [sims.argmax(axis=1),
+                np.random.default_rng(seed).integers(0, len(pairs), len(pairs))]
+    return SimilarityDataset([(pairs[i][0], pairs[j][1], float(latent[i] @ latent[j]))
+                              for js in partners for i, j in enumerate(js)])
+
+
 def job_stretched(sizes: dict, work: Path) -> dict:
     spec = sizes["stretched"]
     seeds = []
@@ -154,10 +172,16 @@ def job_stretched(sizes: dict, work: Path) -> dict:
         train, test = split(fx.gold, spec["train"], spec["test"])
         aligned = align_supervised(fx.src, tgt, train)
         refined = apply_meemi(fit_meemi(aligned, train), aligned)
-        seeds.append(bli({"aligned": aligned, "refined": refined}, test, stages={}))
+        states = {"aligned": aligned, "refined": refined}
+        quality = bli(states, test, stages={})
+        cross = held_out_similarity(fx.src, test.pairs, spec["train"], seed)
+        quality["spearman"] = {state: eval_similarity(pair, cross).metrics["spearman_rho"]
+                               for state, pair in states.items()}
+        seeds.append(quality)
     gain = {r: min(s["refined"][r]["P@1"] - s["aligned"][r]["P@1"] for s in seeds)
             for r in RETRIEVAL_MODES}
-    return {"quality": {"seeds": seeds, "min_p1_gain": gain}}
+    spearman_gain = min(s["spearman"]["refined"] - s["spearman"]["aligned"] for s in seeds)
+    return {"quality": {"seeds": seeds, "min_p1_gain": gain, "min_spearman_gain": spearman_gain}}
 
 
 def job_large(sizes: dict, work: Path) -> dict:

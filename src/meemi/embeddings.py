@@ -8,12 +8,12 @@ gets a fresh checked matrix and shares its parent's ``vocab`` list and index.
 
 The text file is the single source of truth. ``save_space`` also writes a
 binary sidecar ``<path>.npz`` (uncompressed, about 8 bytes per component)
-holding the SHA-256 of the text bytes it wrote, the vocabulary as UTF-8
-and the float64 matrix. ``load_space`` takes the sidecar only when the
-text's digest still matches it and its values pass the checks the text
-parse makes; otherwise it parses the text, which gives the same space
-because ``repr`` round-trips float64 exactly. Deleting a sidecar is always
-safe: the next load parses the text.
+holding the vocabulary as UTF-8, the float64 matrix and the text file's
+SHA-256, taken after the write by ``_file_sha256``, which ``load_space``
+checks it with. ``load_space`` takes the sidecar only when that digest
+matches and its values pass the text parse's checks; otherwise it parses
+the text, which gives the same space because ``repr`` round-trips float64
+exactly. Deleting a sidecar is always safe: the next load parses the text.
 
 ``save_space`` and ``solvers.save_map`` (so every library caller, not only
 the CLI) format text, one float ``repr`` per component, on several CPUs:
@@ -40,6 +40,7 @@ import hashlib
 import logging
 import os
 import re
+import shutil
 import signal
 import tempfile
 import zipfile
@@ -82,15 +83,12 @@ def _row_ranges(matrix: np.ndarray) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _format_rows(fh, matrix, labels, start: int, stop: int, digest=None) -> None:
+def _format_rows(fh, matrix, labels, start: int, stop: int) -> None:
     """Write rows ``start:stop`` as text lines, each after its label and a space
-    when ``labels`` is given, and feed the bytes to ``digest`` if there is one."""
+    when ``labels`` is given."""
     for i in range(start, stop):
         line = format_row(matrix[i]) + "\n"
-        data = (line if labels is None else f"{labels[i]} {line}").encode("utf-8")
-        if digest is not None:
-            digest.update(data)
-        fh.write(data)
+        fh.write((line if labels is None else f"{labels[i]} {line}").encode("utf-8"))
 
 
 def _format_into(tmp, matrix, labels, start: int, stop: int) -> None:
@@ -102,28 +100,22 @@ def _format_into(tmp, matrix, labels, start: int, stop: int) -> None:
     tmp.flush()  # a child leaves through os._exit, which flushes nothing
 
 
-def _write_rows(path, header: str, matrix: np.ndarray, labels: list[str] | None = None) -> bytes:
+def _write_rows(path, header: str, matrix: np.ndarray, labels: list[str] | None = None) -> None:
     """Write ``header`` then one line per matrix row (see the module docstring
-    for the ranges) and return the SHA-256 of the bytes written."""
+    for the ranges)."""
     ranges = _row_ranges(matrix)
     directory = os.path.dirname(os.path.abspath(path))
-    digest = hashlib.sha256()
     with open(path, "wb") as fh, contextlib.ExitStack() as stack:
         temps = [stack.enter_context(tempfile.TemporaryFile(dir=directory)) for _ in ranges[1:]]
-        data = header.encode("utf-8")
-        digest.update(data)
-        fh.write(data)
+        fh.write(header.encode("utf-8"))
         _run_forked(
-            functools.partial(_format_rows, fh, matrix, labels, *ranges[0], digest),
+            functools.partial(_format_rows, fh, matrix, labels, *ranges[0]),
             *(functools.partial(_format_into, tmp, matrix, labels, *bounds)
               for tmp, bounds in zip(temps, ranges[1:])),
         )
         for tmp in temps:
             tmp.seek(0)
-            while chunk := tmp.read(HASH_CHUNK_BYTES):
-                digest.update(chunk)
-                fh.write(chunk)
-    return digest.digest()
+            shutil.copyfileobj(tmp, fh, HASH_CHUNK_BYTES)
 
 
 def _forked(job) -> int | None:
@@ -389,15 +381,20 @@ def load_space(path, limit: int | None = None) -> EmbeddingSpace:
 
 
 def save_space(space: EmbeddingSpace, path) -> None:
-    """Write a space as word2vec text (header line, then one row per token) plus its sidecar."""
+    """Write a space as word2vec text (header line, then one row per token) plus its sidecar.
+    A space ``load_space`` would refuse raises before any file is written."""
     if len(space) == 0:
         raise ValueError("refusing to write an empty embedding space")
-    digest = _write_rows(path, f"{len(space)} {space.dim}\n", space.matrix, space.vocab)
+    zero = np.flatnonzero(~space.matrix.any(axis=1))  # an all-zero row, or dimension 0
+    if zero.size:
+        raise ValueError(f"refusing to write the all-zero vector of token {space.vocab[zero[0]]!r}")
+    vocab = "\n".join(space.vocab).encode("utf-8")  # a token that is not UTF-8 text raises here
+    _write_rows(path, f"{len(space)} {space.dim}\n", space.matrix, space.vocab)
     # np.savez stamps every member with the zip epoch, so equal spaces give equal bytes.
     np.savez(
         _sidecar_path(path),
-        sha256=np.frombuffer(digest, dtype=np.uint8),
-        vocab=np.frombuffer("\n".join(space.vocab).encode("utf-8"), dtype=np.uint8),
+        sha256=np.frombuffer(_file_sha256(path), dtype=np.uint8),
+        vocab=np.frombuffer(vocab, dtype=np.uint8),
         matrix=space.matrix,
     )
 

@@ -98,6 +98,8 @@ def apply_map(linear_map: LinearMap, space: EmbeddingSpace) -> EmbeddingSpace:
 
 def save_map(linear_map: LinearMap, path) -> None:
     """Write `<d_in> <d_out> <orthogonal:0|1>` then one row of floats per line."""
+    if 0 in linear_map.matrix.shape:  # load_map would refuse it
+        raise ValueError(f"refusing to write a {linear_map.d_in}x{linear_map.d_out} map")
     header = f"{linear_map.d_in} {linear_map.d_out} {1 if linear_map.orthogonal else 0}\n"
     _write_rows(path, header, linear_map.matrix)
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from meemi.alignment import SpacePair, align_supervised
-from meemi.embeddings import EmbeddingSpace, load_space, save_space
+from meemi.embeddings import EmbeddingSpace, load_space, save_space, unit_rows
 from meemi.evaluation import (
     eval_bli,
     eval_hypernyms,
@@ -353,25 +353,46 @@ def stretched_noisy_pair(seed):
     return fx.src, EmbeddingSpace(fx.tgt.vocab, noisy), fx.gold
 
 
+def held_out_similarity(src, pairs, start, seed):
+    """Cross-lingual similarity triples over the held-out gold ``pairs``, pair
+    ``i`` being source row ``start + i``. Each held-out word is paired once
+    with its nearest other held-out word by latent (source) cosine and once
+    with a random one. A triple holds the first word's source token, the
+    second word's target token and their latent cosine."""
+    latent = unit_rows(src.matrix[start:start + len(pairs)])
+    sims = latent @ latent.T
+    np.fill_diagonal(sims, -np.inf)
+    partners = [sims.argmax(axis=1),
+                np.random.default_rng(seed).integers(0, len(pairs), len(pairs))]
+    return SimilarityDataset([(pairs[i][0], pairs[j][1], float(latent[i] @ latent[j]))
+                              for js in partners for i, j in enumerate(js)])
+
+
 def test_criterion_12_refinement_beats_alignment_on_non_isometric_spaces():
     start = time.perf_counter()
-    gains = {"cosine": [], "csls": []}
+    gains = {"cosine": [], "csls": [], "spearman": []}
     for seed in range(5):
         src, tgt, gold = stretched_noisy_pair(seed)
         train = BilingualLexicon(gold.pairs[:1000])
         test = BilingualLexicon(gold.pairs[1000:1500])
         aligned = align_supervised(src, tgt, train)
         refined = apply_meemi(fit_meemi(aligned, train), aligned)
-        for retrieval, seed_gains in gains.items():
+        for retrieval in ("cosine", "csls"):
             before = eval_bli(aligned, test, retrieval=retrieval, ks=(1,)).metrics["P@1"]
             after = eval_bli(refined, test, retrieval=retrieval, ks=(1,)).metrics["P@1"]
-            seed_gains.append(after - before)
+            gains[retrieval].append(after - before)
+        cross = held_out_similarity(src, test.pairs, 1000, seed)
+        before, after = (eval_similarity(state, cross).metrics["spearman_rho"]
+                         for state in (aligned, refined))
+        gains["spearman"].append(after - before)
     elapsed = time.perf_counter() - start
-    for retrieval, seed_gains in gains.items():
-        assert min(seed_gains) >= 0.05, (retrieval, seed_gains)
+    for name in ("cosine", "csls"):
+        assert min(gains[name]) >= 0.05, (name, gains[name])
+    assert min(gains["spearman"]) >= 0.02, gains["spearman"]
     assert elapsed < 30.0
     announce(
         12,
         f"held-out P@1 gain over 5 seeds at least {min(gains['cosine']):+.3f} cosine, "
-        f"{min(gains['csls']):+.3f} CSLS in {elapsed:.2f}s",
+        f"{min(gains['csls']):+.3f} CSLS; cross-lingual Spearman gain at least "
+        f"{min(gains['spearman']):+.3f} in {elapsed:.2f}s",
     )

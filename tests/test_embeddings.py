@@ -255,6 +255,20 @@ class TestSave:
         with pytest.raises(ValueError, match="empty"):
             save_space(empty, tmp_path / "out.vec")
 
+    @pytest.mark.parametrize("vocab, matrix, error, message", [
+        (["a", "b"], [[1.0, 2.0], [0.0, 0.0]], ValueError, "all-zero vector of token 'b'"),
+        (["a", "b"], [[-0.0, 0.0], [1.0, 2.0]], ValueError, "all-zero vector of token 'a'"),
+        # dimension 0: every vector is empty
+        (["a", "b"], np.zeros((2, 0)), ValueError, "all-zero vector of token 'a'"),
+        (["ok", "bad\udc80"], [[1.0, 2.0], [3.0, 4.0]], UnicodeEncodeError, "surrogates"),
+    ], ids=["zero_row", "signed_zero_row", "dimension_0", "token_not_utf8"])
+    def test_refuses_what_load_space_refuses_before_writing(
+            self, tmp_path, vocab, matrix, error, message):
+        with pytest.raises(error, match=message):
+            save_space(EmbeddingSpace(vocab, np.array(matrix, dtype=np.float64)),
+                       tmp_path / "out.vec")
+        assert list(tmp_path.iterdir()) == []
+
     def test_one_word_space_two_lines(self, tmp_path):
         path = tmp_path / "out.vec"
         save_space(EmbeddingSpace(["cat"], np.array([[1.0, 2.0]])), path)
@@ -364,10 +378,13 @@ class TestSidecar:
 
     @pytest.mark.parametrize("keep_sidecar", [True, False])
     def test_zero_row_same_error_either_path(self, tmp_path, keep_sidecar):
-        path = tmp_path / "s.vec"
-        save_space(EmbeddingSpace(["a", "z"], np.array([[1.0, 0.0], [0.0, -0.0]])), path)
-        if not keep_sidecar:
-            sidecar(path).unlink()
+        # save_space refuses a zero row, so the text and a matching sidecar are written here
+        path = write(tmp_path, "2 2\na 1.0 0.0\nz 0.0 -0.0\n", "s.vec")
+        if keep_sidecar:
+            np.savez(sidecar(path),
+                     sha256=np.frombuffer(embeddings._file_sha256(path), dtype=np.uint8),
+                     vocab=np.frombuffer(b"a\nz", dtype=np.uint8),
+                     matrix=np.array([[1.0, 0.0], [0.0, -0.0]]))
         with pytest.raises(ValueError, match=r"s\.vec:3: all-zero vector for token 'z'"):
             load_space(path)
         assert load_space(path, limit=1).vocab == ["a"]

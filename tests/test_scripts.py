@@ -58,6 +58,10 @@ def test_bench_stages_smoke(child_env, tmp_path):
             for p in block[state].values():
                 assert 0 <= p["P@1"] <= p["P@5"] <= p["P@10"] <= 1
     assert 0 <= quality["shift"]["fraction_positive"] <= 1
+    stretched = record["stretched"]["quality"]
+    for block in stretched["seeds"]:
+        assert all(-1 <= rho <= 1 for rho in block["spearman"].values())
+    assert -1 <= stretched["min_spearman_gain"] <= 1
     cli = record["cli"]["quality"]
     assert cli["refined"]["csls"] == pytest.approx(quality["refined"]["csls"], abs=5e-7)
 

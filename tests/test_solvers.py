@@ -247,6 +247,12 @@ class TestSerialization:
             b"2 3 0\n0.1 -0.0 0.3333333333333333\n1e-310 1.7976931348623157e+308 -2.5\n"
         )
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)], ids=["0x0", "0x3", "3x0"])
+    def test_refuses_a_zero_dimension_before_writing(self, tmp_path, shape):
+        with pytest.raises(ValueError, match=f"refusing to write a {shape[0]}x{shape[1]} map"):
+            save_map(LinearMap(np.zeros(shape)), tmp_path / "m.map")
+        assert list(tmp_path.iterdir()) == []
+
     def test_header_format(self, tmp_path):
         path = tmp_path / "m.map"
         save_map(LinearMap(np.ones((2, 3))), path)
