@@ -146,11 +146,24 @@ def job_inprocess(sizes: dict, work: Path) -> dict:
     return {"stages": stages, "quality": quality}
 
 
+def stretched_noisy_pair(seed: int, vocab: int, dim: int):
+    """A rotated ``vocab`` x ``dim`` pair whose target axes are stretched by
+    exp(0.7 z), z ~ N(0, 1), then given noise of sigma 3: a non-isometric
+    pair, the paper's premise. Returns the source, the target and the gold
+    lexicon."""
+    fx = make_rotated_pair(SyntheticSpec(vocab, dim, 0.0, seed))
+    rng = np.random.default_rng(10_000 + seed)
+    stretched = fx.tgt.matrix * np.exp(0.7 * rng.standard_normal(fx.tgt.dim))
+    noisy = stretched + 3.0 * rng.standard_normal(stretched.shape)
+    return fx.src, EmbeddingSpace(fx.tgt.vocab, noisy), fx.gold
+
+
 def held_out_similarity(src: EmbeddingSpace, pairs: list, start: int, seed: int):
-    """Cross-lingual similarity triples as tests/test_acceptance.py's
-    held_out_similarity builds them: held-out pair ``i`` is source row
-    ``start + i``, and each is paired with its nearest other held-out word
-    by source cosine and with a random one, scored by that cosine."""
+    """Cross-lingual similarity triples over the held-out gold ``pairs``, pair
+    ``i`` being source row ``start + i``. Each held-out word is paired once
+    with its nearest other held-out word by latent (source) cosine and once
+    with a random one. A triple holds the first word's source token, the
+    second word's target token and their latent cosine."""
     latent = unit_rows(src.matrix[start:start + len(pairs)])
     sims = latent @ latent.T
     np.fill_diagonal(sims, -np.inf)
@@ -164,17 +177,13 @@ def job_stretched(sizes: dict, work: Path) -> dict:
     spec = sizes["stretched"]
     seeds = []
     for seed in range(spec["seeds"]):
-        # as tests/test_acceptance.py's stretched_noisy_pair builds it
-        fx = make_rotated_pair(SyntheticSpec(spec["vocab"], spec["dim"], 0.0, seed))
-        rng = np.random.default_rng(10_000 + seed)
-        stretched = fx.tgt.matrix * np.exp(0.7 * rng.standard_normal(fx.tgt.dim))
-        tgt = EmbeddingSpace(fx.tgt.vocab, stretched + 3.0 * rng.standard_normal(stretched.shape))
-        train, test = split(fx.gold, spec["train"], spec["test"])
-        aligned = align_supervised(fx.src, tgt, train)
+        src, tgt, gold = stretched_noisy_pair(seed, spec["vocab"], spec["dim"])
+        train, test = split(gold, spec["train"], spec["test"])
+        aligned = align_supervised(src, tgt, train)
         refined = apply_meemi(fit_meemi(aligned, train), aligned)
         states = {"aligned": aligned, "refined": refined}
         quality = bli(states, test, stages={})
-        cross = held_out_similarity(fx.src, test.pairs, spec["train"], seed)
+        cross = held_out_similarity(src, test.pairs, spec["train"], seed)
         quality["spearman"] = {state: eval_similarity(pair, cross).metrics["spearman_rho"]
                                for state, pair in states.items()}
         seeds.append(quality)

@@ -287,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--dict", type=_path, required=True, help="training dictionary")
-    p.add_argument("--map", type=_path, default=None, help="alignment map file (optional)")
+    p.add_argument("--map", type=_path, default=None, help="alignment map file, only "
+                   "checked (orthogonal, of the spaces' dimension); no output depends on it")
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("induce", help="write the induced nearest-neighbor dictionary",

@@ -413,5 +413,6 @@ def unit_rows(matrix: np.ndarray, what: str = "row", vocab: list[str] | None = N
 
 
 def normalize_unit(space: EmbeddingSpace) -> EmbeddingSpace:
-    """Scale every row to Euclidean norm 1. Idempotent; zero rows are an error."""
+    """Scale every row to Euclidean norm 1; zero rows are an error. A second pass
+    agrees only within rounding, not bit for bit: each scorer normalizes once."""
     return space.with_matrix(unit_rows(space.matrix, vocab=space.vocab))

@@ -21,9 +21,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .alignment import SpacePair, pair_cosines
-from .embeddings import _numbered_lines, _require_line_end
 from .lexicon import BilingualLexicon, resolve_rows
-from .solvers import LinearMap, apply_map, fit_least_squares, load_map, save_map
+from .solvers import LinearMap, apply_map, fit_least_squares, save_map
 
 log = logging.getLogger(__name__)
 
@@ -118,23 +117,3 @@ def save_meemi(model: MeemiModel, manifest_path) -> None:
         fh.write(os.path.basename(src_path) + "\n")
         fh.write(os.path.basename(tgt_path) + "\n")
         fh.write(f"{model.train_pair_count}\n")
-
-
-def load_meemi(manifest_path) -> MeemiModel:
-    path = os.fspath(manifest_path)
-    base = os.path.dirname(path)
-    numbered = list(_numbered_lines(path))
-    lines = [(line_no, raw.strip()) for line_no, raw in numbered if raw.strip()]
-    if len(lines) != 3:
-        raise ValueError(f"{path}: expected 3 manifest lines, found {len(lines)}")
-    (_, src_name), (_, tgt_name), (count_line, count_text) = lines
-    try:
-        count = int(count_text)
-    except ValueError:
-        raise ValueError(f"{path}:{count_line}: train pair count must be an integer") from None
-    _require_line_end(numbered[-1][1], path, len(numbered))
-    return MeemiModel(
-        map_src=load_map(os.path.join(base, src_name)),
-        map_tgt=load_map(os.path.join(base, tgt_name)),
-        train_pair_count=count,
-    )

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from meemi.alignment import SpacePair, align_supervised
-from meemi.embeddings import EmbeddingSpace, load_space, save_space, unit_rows
+from meemi.embeddings import EmbeddingSpace, load_space, save_space
 from meemi.evaluation import (
     eval_bli,
     eval_hypernyms,
@@ -30,6 +30,7 @@ from meemi.refinement import apply_meemi, fit_meemi, similarity_shift_report
 from meemi.retrieval import batch_cosine_topk, batch_csls_topk, build_index
 from meemi.solvers import LinearMap, fit_least_squares, fit_procrustes
 from test_alignment import lexicon_cosine
+from test_scripts import load_script
 
 
 def announce(number, message):
@@ -343,36 +344,12 @@ def test_criterion_11_format_round_trip(tmp_path):
     announce(11, f"1000-word round trip, max component error {error:.2e}")
 
 
-def stretched_noisy_pair(seed):
-    """A rotated pair whose target axes are stretched by exp(0.7 z), z ~ N(0, 1),
-    then given noise of sigma 3: a non-isometric pair, the paper's premise."""
-    fx = make_rotated_pair(SyntheticSpec(2000, 100, noise_sigma=0.0, seed=seed))
-    rng = np.random.default_rng(10_000 + seed)
-    stretched = fx.tgt.matrix * np.exp(0.7 * rng.standard_normal(fx.tgt.dim))
-    noisy = stretched + 3.0 * rng.standard_normal(stretched.shape)
-    return fx.src, EmbeddingSpace(fx.tgt.vocab, noisy), fx.gold
-
-
-def held_out_similarity(src, pairs, start, seed):
-    """Cross-lingual similarity triples over the held-out gold ``pairs``, pair
-    ``i`` being source row ``start + i``. Each held-out word is paired once
-    with its nearest other held-out word by latent (source) cosine and once
-    with a random one. A triple holds the first word's source token, the
-    second word's target token and their latent cosine."""
-    latent = unit_rows(src.matrix[start:start + len(pairs)])
-    sims = latent @ latent.T
-    np.fill_diagonal(sims, -np.inf)
-    partners = [sims.argmax(axis=1),
-                np.random.default_rng(seed).integers(0, len(pairs), len(pairs))]
-    return SimilarityDataset([(pairs[i][0], pairs[j][1], float(latent[i] @ latent[j]))
-                              for js in partners for i, j in enumerate(js)])
-
-
 def test_criterion_12_refinement_beats_alignment_on_non_isometric_spaces():
+    bench = load_script("bench_stages")  # its stretched job runs this experiment too
     start = time.perf_counter()
     gains = {"cosine": [], "csls": [], "spearman": []}
     for seed in range(5):
-        src, tgt, gold = stretched_noisy_pair(seed)
+        src, tgt, gold = bench.stretched_noisy_pair(seed, 2000, 100)
         train = BilingualLexicon(gold.pairs[:1000])
         test = BilingualLexicon(gold.pairs[1000:1500])
         aligned = align_supervised(src, tgt, train)
@@ -381,7 +358,7 @@ def test_criterion_12_refinement_beats_alignment_on_non_isometric_spaces():
             before = eval_bli(aligned, test, retrieval=retrieval, ks=(1,)).metrics["P@1"]
             after = eval_bli(refined, test, retrieval=retrieval, ks=(1,)).metrics["P@1"]
             gains[retrieval].append(after - before)
-        cross = held_out_similarity(src, test.pairs, 1000, seed)
+        cross = bench.held_out_similarity(src, test.pairs, 1000, seed)
         before, after = (eval_similarity(state, cross).metrics["spearman_rho"]
                          for state in (aligned, refined))
         gains["spearman"].append(after - before)

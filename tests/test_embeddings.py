@@ -22,7 +22,6 @@ from meemi.embeddings import (
     unit_rows,
 )
 from meemi.lexicon import load_hypernyms, load_lexicon, load_similarity
-from meemi.refinement import load_meemi
 from meemi.solvers import LinearMap, load_map, save_map
 
 
@@ -218,9 +217,7 @@ class TestLoad:
     (load_lexicon, b"dog perro\n"),
     (load_similarity, b"cat dog 7.25\n"),
     (load_hypernyms, b"cat\tanimal\n"),
-    (load_meemi, b"m.src.map\nm.tgt.map\n"),
-], ids=["load_space", "load_map", "load_lexicon", "load_similarity", "load_hypernyms",
-        "load_meemi"])
+], ids=["load_space", "load_map", "load_lexicon", "load_similarity", "load_hypernyms"])
 def test_non_utf8_file_is_an_error_naming_it(tmp_path, load, head):
     path = tmp_path / "bad.txt"
     path.write_bytes(head + b"x\xff 1.0 0.5\n")
