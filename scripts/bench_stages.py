@@ -23,7 +23,11 @@ for that child; Linux gives it in KiB):
   pairs and evaluates on the next 500: BLI, and the Spearman correlation of
   cross-lingual similarity on the held-out words (as in that check: each
   word paired with its nearest other held-out word and with a random one,
-  scored by the cosine of their source vectors).
+  scored by the cosine of their source vectors). The same triples, each
+  first token replaced by its own gold target token, are scored within the
+  target space for the paper's monolingual claim. The source side is left
+  out: its gold is the source cosine itself, so the aligned pair reads
+  about 1 and can only fall.
 - ``cli``: the 50k pair written by ``meemi fixture rotated``, then
   ``align``, ``refine`` and ``eval bli --retrieval csls`` on both states,
   one child process per command, each loading the sidecars.
@@ -35,8 +39,8 @@ The JSON at ``--out`` holds each stage's numbers, each process's wall time
 and peak RSS, the environment (git commit, Python, numpy, its BLAS, the
 BLAS thread variables, CPUs), and the quality numbers. These are P@1/5/10
 under cosine and CSLS, aligned and refined, and the held-out shift for the
-rotated pair, the CLI's CSLS P@k, and the stretched pair's P@k and Spearman
-per seed with the smallest gain of each.
+rotated pair, the CLI's CSLS P@k, and the stretched pair's P@k, Spearman
+and monolingual target Spearman per seed with the smallest gain of each.
 The CLI's CSLS P@k must equal the library's; otherwise the script still
 writes the JSON but exits 1. Nothing is measured outside this script's
 own processes. Nothing is written outside ``--out`` and one temporary
@@ -65,6 +69,7 @@ import numpy as np
 
 from meemi.alignment import (
     AlignmentConfig,
+    SpacePair,
     align_supervised,
     induce_dictionary,
     iterate_self_learning,
@@ -186,11 +191,18 @@ def job_stretched(sizes: dict, work: Path) -> dict:
         cross = held_out_similarity(src, test.pairs, spec["train"], seed)
         quality["spearman"] = {state: eval_similarity(pair, cross).metrics["spearman_rho"]
                                for state, pair in states.items()}
+        to_target = dict(test.pairs)
+        mono = SimilarityDataset([(to_target[a], b, score) for a, b, score in cross.triples])
+        within = {state: SpacePair(pair.target, pair.target) for state, pair in states.items()}
+        quality["mono_spearman"] = {state: eval_similarity(pair, mono).metrics["spearman_rho"]
+                                    for state, pair in within.items()}
         seeds.append(quality)
     gain = {r: min(s["refined"][r]["P@1"] - s["aligned"][r]["P@1"] for s in seeds)
             for r in RETRIEVAL_MODES}
-    spearman_gain = min(s["spearman"]["refined"] - s["spearman"]["aligned"] for s in seeds)
-    return {"quality": {"seeds": seeds, "min_p1_gain": gain, "min_spearman_gain": spearman_gain}}
+    spearman_gain, mono_gain = (min(s[key]["refined"] - s[key]["aligned"] for s in seeds)
+                                for key in ("spearman", "mono_spearman"))
+    return {"quality": {"seeds": seeds, "min_p1_gain": gain, "min_spearman_gain": spearman_gain,
+                        "min_mono_spearman_gain": mono_gain}}
 
 
 def job_large(sizes: dict, work: Path) -> dict:

@@ -27,11 +27,15 @@ the rotated source, so that its tokens resolve only in ``--tgt``),
 ``inspect`` under cosine and CSLS on a space of exact ties, and
 ``align``/``refine`` on a dictionary that resolves nothing. The rotated
 and taxonomy fixtures hold 1500 x 64 = 96000 components, above
-``meemi.embeddings.MIN_RANGE_COMPONENTS``, so saves are split into row
-ranges written by forked children where the host has two or more CPUs.
+``2 * meemi.embeddings.MIN_RANGE_COMPONENTS``, so where the host has two
+or more usable CPUs each of their saves is cut into two halves, the second
+written by a forked child. On such a host the default run writes only its
+smaller files unsplit; a run pinned to one CPU with ``taskset -c 0`` splits
+no save, so it covers the unsplit path on the large files too.
 
 Usage:
     python3 scripts/same_outputs.py HEAD~1
+    taskset -c 0 python3 scripts/same_outputs.py HEAD~1   # the unsplit path
     python3 scripts/same_outputs.py main --tiny   # 60 x 8 fixtures, seconds
 """
 

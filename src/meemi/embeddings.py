@@ -16,13 +16,13 @@ the text, which gives the same space because ``repr`` round-trips float64
 exactly. Deleting a sidecar is always safe: the next load parses the text.
 
 ``save_space`` and ``solvers.save_map`` (so every library caller, not only
-the CLI) format text, one float ``repr`` per component, on several CPUs:
-the rows are cut into one contiguous range per usable CPU, at most
-``MAX_RANGES``, each of at least ``MIN_RANGE_COMPONENTS`` components.
-Through ``_run_forked``, the one place that forks (the CLI's per-file
-writers use it too), this process formats the first range straight into
-the output file and a forked child formats each later range into an
-unlinked temporary file, which this process copies in after the first, so
+the CLI) format text, one float ``repr`` per component, on two CPUs: with
+``os.fork``, more than one usable CPU, at least two rows and at least
+``2 * MIN_RANGE_COMPONENTS`` components, the rows are cut into two halves
+at row ``rows // 2``. Through ``_run_forked``, the one place that forks
+(the CLI's per-file writers use it too), this process formats the first
+half straight into the output file and a forked child formats the second
+into an unlinked temporary file, which this process copies in after it, so
 the file is the one a single process writes. A child is safe because it
 only formats rows and writes files, without BLAS or logging, and leaves
 through ``os._exit``, so no atexit hook or stdio flush runs in it; glibc
@@ -33,7 +33,6 @@ forking while OpenBLAS threads are alive; it is left visible, not silenced.
 
 from __future__ import annotations
 
-import contextlib
 import copy
 import functools
 import hashlib
@@ -53,9 +52,6 @@ log = logging.getLogger(__name__)
 HASH_CHUNK_BYTES = 1 << 20
 # About 20 ms of ``repr`` per range, against 1-2 ms for a fork.
 MIN_RANGE_COMPONENTS = 1 << 15
-# Each range past the first adds a serial fork before the formatting and a serial
-# copy after it; only two ranges have been timed against one.
-MAX_RANGES = 2
 
 
 def format_row(row: np.ndarray) -> str:
@@ -68,19 +64,6 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
-
-
-def _row_ranges(matrix: np.ndarray) -> list[tuple[int, int]]:
-    """Contiguous ``(start, stop)`` row ranges: one per usable CPU up to
-    ``MAX_RANGES``, each of at least ``MIN_RANGE_COMPONENTS`` components, and
-    one without ``os.fork``."""
-    rows = matrix.shape[0]
-    count = 1
-    if hasattr(os, "fork"):
-        count = min(MAX_RANGES, _usable_cpus(), matrix.size // MIN_RANGE_COMPONENTS, rows)
-        count = max(1, count)
-    bounds = [rows * i // count for i in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
 
 
 def _format_rows(fh, matrix, labels, start: int, stop: int) -> None:
@@ -101,19 +84,18 @@ def _format_into(tmp, matrix, labels, start: int, stop: int) -> None:
 
 
 def _write_rows(path, header: str, matrix: np.ndarray, labels: list[str] | None = None) -> None:
-    """Write ``header`` then one line per matrix row (see the module docstring
-    for the ranges)."""
-    ranges = _row_ranges(matrix)
-    directory = os.path.dirname(os.path.abspath(path))
-    with open(path, "wb") as fh, contextlib.ExitStack() as stack:
-        temps = [stack.enter_context(tempfile.TemporaryFile(dir=directory)) for _ in ranges[1:]]
+    """Write ``header`` then one line per matrix row; see the module docstring for the split."""
+    rows = matrix.shape[0]
+    with open(path, "wb") as fh:
         fh.write(header.encode("utf-8"))
-        _run_forked(
-            functools.partial(_format_rows, fh, matrix, labels, *ranges[0]),
-            *(functools.partial(_format_into, tmp, matrix, labels, *bounds)
-              for tmp, bounds in zip(temps, ranges[1:])),
-        )
-        for tmp in temps:
+        if not (hasattr(os, "fork") and _usable_cpus() > 1 and rows > 1
+                and matrix.size >= 2 * MIN_RANGE_COMPONENTS):
+            _format_rows(fh, matrix, labels, 0, rows)
+            return
+        half = rows // 2
+        with tempfile.TemporaryFile(dir=os.path.dirname(os.path.abspath(path))) as tmp:
+            _run_forked(functools.partial(_format_rows, fh, matrix, labels, 0, half),
+                        functools.partial(_format_into, tmp, matrix, labels, half, rows))
             tmp.seek(0)
             shutil.copyfileobj(tmp, fh, HASH_CHUNK_BYTES)
 

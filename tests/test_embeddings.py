@@ -417,8 +417,8 @@ class TestSidecar:
 
 
 def uneven_space():
-    """1799 x 96: big enough for five ranges, and every cut between 1 to 5
-    ranges falls on an odd row. Tokens hold multi-byte UTF-8."""
+    """1799 x 96: big enough for two halves, cut at row 899 of an odd row count.
+    Tokens hold multi-byte UTF-8."""
     space = random_space(5, 1799, 96)
     return EmbeddingSpace([f"w\u00f6rd{i}\u8a9e" for i in range(len(space))], space.matrix)
 
@@ -426,14 +426,13 @@ def uneven_space():
 class TestRangeWriter:
     @pytest.fixture
     def ranges(self, monkeypatch):
-        """Set how many ranges a big enough save is cut into."""
+        """Set how many ranges a big enough save is cut into: 1 or 2."""
         def set_count(count):
-            monkeypatch.setattr(embeddings, "MAX_RANGES", count)
             monkeypatch.setattr(embeddings, "_usable_cpus", lambda: count)
 
         return set_count
 
-    @pytest.mark.parametrize("count", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("count", [1, 2])
     def test_same_bytes_for_any_range_count(self, tmp_path, ranges, forks, count):
         space = uneven_space()
         linear_map = LinearMap(space.matrix)
@@ -465,13 +464,20 @@ class TestRangeWriter:
         assert len(forks) == 2
         save_space(random_space(3, 1023, 64), tmp_path / "small.vec")  # 2**16 - 64 components
         assert len(forks) == 2
+        save_space(random_space(3, 1024, 64), tmp_path / "edge.vec")  # exactly 2**16 components
+        assert len(forks) == 3
+        save_space(random_space(3, 1, 1 << 17), tmp_path / "row.vec")  # one row is never halved
+        assert len(forks) == 3
 
-    def test_range_count_is_capped(self, monkeypatch):
+    def test_range_count_is_capped(self, tmp_path, monkeypatch, forks):
         monkeypatch.setattr(embeddings, "_usable_cpus", lambda: 64)
         space = random_space(4, 1200, 300)
-        assert embeddings._row_ranges(space.matrix) == [(0, 600), (600, 1200)]
+        save_space(space, tmp_path / "64.vec")
+        assert len(forks) == 1
         monkeypatch.delattr(os, "fork")
-        assert embeddings._row_ranges(space.matrix) == [(0, 1200)]
+        save_space(space, tmp_path / "nofork.vec")
+        assert len(forks) == 1
+        assert (tmp_path / "nofork.vec").read_bytes() == (tmp_path / "64.vec").read_bytes()
 
     def split_space(self):
         """1100 x 64, so two ranges on two CPUs; column 0 holds the row number from 1."""

@@ -60,8 +60,10 @@ def test_bench_stages_smoke(child_env, tmp_path):
     assert 0 <= quality["shift"]["fraction_positive"] <= 1
     stretched = record["stretched"]["quality"]
     for block in stretched["seeds"]:
-        assert all(-1 <= rho <= 1 for rho in block["spearman"].values())
+        for key in ("spearman", "mono_spearman"):
+            assert all(-1 <= rho <= 1 for rho in block[key].values())
     assert -1 <= stretched["min_spearman_gain"] <= 1
+    assert -1 <= stretched["min_mono_spearman_gain"] <= 1
     cli = record["cli"]["quality"]
     assert cli["refined"]["csls"] == pytest.approx(quality["refined"]["csls"], abs=5e-7)
 
