@@ -19,19 +19,21 @@ not, also gives both trees' line counts of ``src/meemi/*.py`` (the total of
 ``wc -l``) as ``src/meemi <ref> -> <working tree> lines``.
 
 The list builds the three fixtures, then runs ``align`` (plain, with
-self-learning, with ``--limit``), ``refine`` (with ``--map`` and on the
-self-learned pair), ``eval bli`` and ``eval hyper`` under both retrievals
-(``eval hyper`` on the taxonomy alone, paired with itself, and paired with
-the rotated source, so that its tokens resolve only in ``--tgt``),
-``eval sim`` cross-lingual and monolingual, ``inspect``, ``induce``,
-``inspect`` under cosine and CSLS on a space of exact ties, and
-``align``/``refine`` on a dictionary that resolves nothing. The rotated
-and taxonomy fixtures hold 1500 x 64 = 96000 components, above
-``2 * meemi.embeddings.MIN_RANGE_COMPONENTS``, so where the host has two
-or more usable CPUs each of their saves is cut into two halves, the second
-written by a forked child. On such a host the default run writes only its
-smaller files unsplit; a run pinned to one CPU with ``taskset -c 0`` splits
-no save, so it covers the unsplit path on the large files too.
+self-learning, with ``--limit``, and with self-learning on a seed whose
+tokens resolve only through the lowercase fold), ``refine`` (with
+``--map`` and on the self-learned pair), ``eval bli`` and ``eval hyper``
+under both retrievals (``eval hyper`` on the taxonomy alone, paired with
+itself, and paired with the rotated source, so that its tokens resolve
+only in ``--tgt``), ``eval sim`` cross-lingual and monolingual,
+``inspect``, ``induce``, ``inspect`` under cosine and CSLS on a space of
+exact ties, and ``align``/``refine`` on a dictionary that resolves
+nothing. The rotated and taxonomy fixtures hold 1500 x 64 = 96000
+components, above ``2 * meemi.embeddings.MIN_RANGE_COMPONENTS``, so where
+the host has two or more usable CPUs each of their saves is cut into two
+halves, the second written by a forked child. On such a host the default
+run writes only its smaller files unsplit; a run pinned to one CPU with
+``taskset -c 0`` splits no save, so it covers the unsplit path on the
+large files too.
 
 Usage:
     python3 scripts/same_outputs.py HEAD~1
@@ -77,6 +79,8 @@ def commands(vocab: int, dim: int) -> list[list[str]]:
         ["align", *pair, "--dict", "fx/gold.dict", "--self-learning", "--max-iter", "4",
          "--cap", half, "-v", "--out", "selfl"],
         ["align", *pair, "--dict", "fx/gold.dict", "--limit", half, "--out", "limited"],
+        ["align", *pair, "--dict", "fold.dict", "--self-learning", "--max-iter", "4",
+         "--cap", half, "--out", "selfl_fold"],
         ["refine", *aligned, "--dict", "fx/gold.dict", "--map", "aligned/alignment.map",
          "--out", "refined"],
         ["refine", "--src", "selfl/source_mapped.vec", "--tgt", "selfl/target_normalized.vec",
@@ -112,9 +116,16 @@ def commands(vocab: int, dim: int) -> list[list[str]]:
 
 
 def write_datasets(vocab: int) -> None:
-    """The similarity data, the dictionary that resolves nothing and
-    ``ties.vec``, into the current directory; tokens follow ``fixture
-    rotated``'s naming.
+    """The similarity data, the dictionary that resolves nothing, the
+    case-folded seed ``fold.dict`` and ``ties.vec``, into the current
+    directory; tokens follow ``fixture rotated``'s naming.
+
+    ``fold.dict`` holds the first ``vocab // 5`` gold pairs, the source
+    token upper-cased on odd rows and the target token on even rows, so
+    every pair resolves only through the lowercase fold. It stays smaller
+    than the self-learning cap, so that training on a folded seed pair's
+    rows twice would show: were every capped row a seed row, each would be
+    doubled alike, which leaves Procrustes unchanged.
 
     ``ties.vec`` holds 12 rows of dimension 4, each one of three distinct
     vectors of four +-1 entries, so every cosine is a multiple of 0.25 and
@@ -129,6 +140,9 @@ def write_datasets(vocab: int) -> None:
         fh.writelines(f"src{i:05d} src{(i + 1) % vocab:05d} {score[i]}\n" for i in range(n))
     with open("nothing.dict", "w", encoding="utf-8") as fh:
         fh.write("nope nada\n")
+    with open("fold.dict", "w", encoding="utf-8") as fh:
+        fh.writelines(f"SRC{i:05d} tgt{i:05d}\n" if i % 2 else f"src{i:05d} TGT{i:05d}\n"
+                      for i in range(vocab // 5))
     vectors = ("1 1 1 1", "1 1 -1 -1", "1 -1 1 1")
     with open("ties.vec", "w", encoding="utf-8") as fh:
         fh.writelines(f"w{i:02d} {vectors[i % 3]}\n" for i in range(12))

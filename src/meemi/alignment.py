@@ -11,10 +11,8 @@ induction over the most frequent words (file order is taken to be
 frequency order), keeping the best-scoring iteration. Training sets are
 row indexes: the seed lexicon is resolved to rows once, induction returns
 each source row's nearest target row, and each iteration trains on the
-seed rows followed by every induced pair that does not repeat a seed
-pair. An induced pair repeats a seed pair only when both seed tokens are
-exact vocabulary tokens of its rows; seed pairs that resolve through the
-lowercase fold, and repeated seed pairs, stay as extra rows.
+seed rows followed by every induced pair whose two rows no resolved seed
+pair already holds, however the seed spells its tokens.
 
 Induction takes each source row's cosine argmax in two steps. A float32
 pass screens every chunk of rows; a row keeps its float32 winner only when
@@ -186,21 +184,19 @@ def iterate_self_learning(
     induces a fresh dictionary over the capped vocabulary, and scores it by
     mean induced-pair cosine. The loop stops when the score improves by
     less than the convergence tolerance or the iteration budget runs out;
-    the best-scoring map wins. The seed dictionary is kept in every fit, so
-    induction augments rather than replaces the supervision. Each iteration
-    logs at DEBUG its training-row count, score, induced pairs added and the
-    fraction of induced targets that changed (1 on the first iteration);
-    the kept iteration is logged at INFO.
+    the best-scoring map wins. Every fit keeps all seed rows, and an induced
+    pair adds nothing when a seed pair already resolved to its two rows.
+    Each iteration logs at DEBUG its training-row count, score, induced
+    pairs added and the fraction of induced targets that changed (1 on the
+    first iteration); the kept iteration is logged at INFO.
     """
     config = config or AlignmentConfig()
     pair = SpacePair(src, tgt)
     src_n = apply_normalization(pair.source)
     tgt_n = apply_normalization(pair.target)
     seed_src, seed_tgt, kept = resolve_rows(seed_lexicon, src_n, tgt_n)
-    # (row, row) keys of the seed pairs an induced pair can repeat
-    exact = [s in src_n and t in tgt_n for s, t in seed_lexicon.pairs]
-    repeats = seed_src[exact] * len(tgt_n) + seed_tgt[exact]
     seed_src, seed_tgt = seed_src[kept], seed_tgt[kept]
+    repeats = seed_src * len(tgt_n) + seed_tgt
     rows_src, rows_tgt = seed_src, seed_tgt
     nearest = None
     best_w: LinearMap | None = None

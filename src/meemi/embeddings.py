@@ -191,9 +191,6 @@ class EmbeddingSpace:
     def __len__(self) -> int:
         return len(self.vocab)
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._index
-
     def index_of(self, token: str) -> int | None:
         """Row index of a token: exact match, then one lowercase-fold retry."""
         i = self._index.get(token)

@@ -101,7 +101,8 @@ def eval_bli(
 ) -> EvalReport:
     """Precision at k for dictionary induction.
 
-    Each unique source token is one query; its gold set is every target
+    Each unique source spelling is one query, even where two spellings
+    (``Dog`` and ``dog``) resolve to one row; its gold set is every target
     listed for it. A query scores at k when any gold member appears in the
     top-k retrieved tokens. Queries whose source token or entire gold set
     is out of vocabulary are skipped and counted in the totals.

@@ -413,10 +413,11 @@ class TestSelfLearningMemory:
 
 def reference_self_learning(src, tgt, seed_lexicon, config):
     """The token-based loop: every iteration resolves a lexicon, induces
-    token pairs and merges them into the seed by token.
+    token pairs and merges into the seed each one whose rows no seed pair
+    resolves to.
 
-    Also returns how many training rows repeat a seed pair's rows only
-    because that seed pair resolved through the lowercase fold.
+    Also returns how many induced pairs were left out only because a seed
+    pair that resolved through the lowercase fold holds their rows.
     """
     def rows(a, b, lexicon):
         kept, _ = resolve(lexicon, a, b)
@@ -426,9 +427,7 @@ def reference_self_learning(src, tgt, seed_lexicon, config):
     src_n = apply_normalization(src)
     tgt_n = apply_normalization(tgt)
     seed_set = set(seed_lexicon.pairs)
-    folded = {(src_n.index_of(s), tgt_n.index_of(t)) for s, t in seed_lexicon.pairs
-              if src_n.index_of(s) is not None and tgt_n.index_of(t) is not None
-              and (s not in src_n or t not in tgt_n)}
+    seed_rows = {(src_n.index_of(s), tgt_n.index_of(t)) for s, t in seed_lexicon.pairs}
     current = seed_lexicon
     fold_repeats = 0
     best_w, best_score, previous, iterations = None, -np.inf, -np.inf, 0
@@ -450,9 +449,10 @@ def reference_self_learning(src, tgt, seed_lexicon, config):
         previous = score
         merged = list(seed_lexicon.pairs)
         for pair in induced.pairs:
-            if pair not in seed_set:
+            if (src_n.index_of(pair[0]), tgt_n.index_of(pair[1])) not in seed_rows:
                 merged.append(pair)
-                fold_repeats += (src_n.index_of(pair[0]), tgt_n.index_of(pair[1])) in folded
+            else:
+                fold_repeats += pair not in seed_set
         current = BilingualLexicon(merged)
     return AlignedPair(apply_map(best_w, src_n), tgt_n, best_w, iterations), fold_repeats
 
@@ -491,6 +491,19 @@ class TestSelfLearningOnRows:
         assert np.array_equal(got.map.matrix, expected.map.matrix)
         assert np.array_equal(got.source.matrix, expected.source.matrix)
         assert np.array_equal(got.target.matrix, expected.target.matrix)
+
+    @pytest.mark.parametrize("max_iterations, cap", [(1, 300), (4, 300), (6, 120)])
+    def test_seed_spelling_does_not_matter(self, max_iterations, cap):
+        fx = make_rotated_pair(SyntheticSpec(300, 16, noise_sigma=0.4, seed=8))
+        seed = awkward_seed(fx)
+        lowered = BilingualLexicon([(s.lower(), t.lower()) for s, t in seed.pairs])
+        config = AlignmentConfig(max_iterations=max_iterations,
+                                 convergence_tol=1e-12, induction_vocab_cap=cap)
+        got = iterate_self_learning(fx.src, fx.tgt, seed, config)
+        plain = iterate_self_learning(fx.src, fx.tgt, lowered, config)
+        assert got.iterations_run == plain.iterations_run
+        assert np.array_equal(got.map.matrix, plain.map.matrix)
+        assert np.array_equal(got.source.matrix, plain.source.matrix)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=8)
