@@ -20,7 +20,8 @@ not, also gives both trees' line counts of ``src/meemi/*.py`` (the total of
 
 The list builds the three fixtures, then runs ``align`` (plain, with
 self-learning, with ``--limit``, and with self-learning on a seed whose
-tokens resolve only through the lowercase fold), ``refine`` (with
+tokens resolve only through the lowercase fold, at a cap of half the
+vocabulary and at the default cap, which holds every row), ``refine`` (with
 ``--map`` and on the self-learned pair), ``eval bli`` and ``eval hyper``
 under both retrievals (``eval hyper`` on the taxonomy alone, paired with
 itself, and paired with the rotated source, so that its tokens resolve
@@ -81,6 +82,9 @@ def commands(vocab: int, dim: int) -> list[list[str]]:
         ["align", *pair, "--dict", "fx/gold.dict", "--limit", half, "--out", "limited"],
         ["align", *pair, "--dict", "fold.dict", "--self-learning", "--max-iter", "4",
          "--cap", half, "--out", "selfl_fold"],
+        # the default cap is at least the vocabulary: induction reads the whole source
+        ["align", *pair, "--dict", "fold.dict", "--self-learning", "--max-iter", "4",
+         "--out", "selfl_whole"],
         ["refine", *aligned, "--dict", "fx/gold.dict", "--map", "aligned/alignment.map",
          "--out", "refined"],
         ["refine", "--src", "selfl/source_mapped.vec", "--tgt", "selfl/target_normalized.vec",

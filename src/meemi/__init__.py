@@ -9,6 +9,7 @@ from .alignment import (
     align_supervised,
     induce_dictionary,
     iterate_self_learning,
+    unit_head,
 )
 from .embeddings import (
     EmbeddingSpace,

@@ -12,7 +12,10 @@ frequency order), keeping the best-scoring iteration. Training sets are
 row indexes: the seed lexicon is resolved to rows once, induction returns
 each source row's nearest target row, and each iteration trains on the
 seed rows followed by every induced pair whose two rows no resolved seed
-pair already holds, however the seed spells its tokens.
+pair already holds, however the seed spells its tokens. Induction and its
+score read only the capped rows, as unit rows: the loop normalizes the
+capped target once, maps and normalizes only the capped source rows each
+iteration, and maps the whole source once, with the kept map, at the end.
 
 Induction takes each source row's cosine argmax in two steps. A float32
 pass screens every chunk of rows; a row keeps its float32 winner only when
@@ -36,6 +39,9 @@ from .retrieval import CHUNK_ROWS, _score_chunks
 from .solvers import LinearMap, apply_map, fit_procrustes
 
 log = logging.getLogger(__name__)
+
+# how far off 1 induction lets a row's squared norm be: |x||y| <= 1 + UNIT_TOL
+UNIT_TOL = 2.0**-20
 
 
 @dataclass
@@ -101,8 +107,15 @@ def pair_cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def mean_pair_cosine(src: EmbeddingSpace, tgt: EmbeddingSpace, nearest: np.ndarray) -> float:
-    """Mean cosine between each source row ``i`` and target row ``nearest[i]``."""
-    return float(pair_cosines(src.matrix[:len(nearest)], tgt.matrix[nearest]).mean())
+    """Mean cosine between each source row ``i`` and target row ``nearest[i]``,
+    both spaces of unit rows: the mean dot product, with no normalization."""
+    return float((src.matrix[:len(nearest)] * tgt.matrix[nearest]).sum(axis=1).mean())
+
+
+def unit_head(space: EmbeddingSpace, rows: int, what: str) -> EmbeddingSpace:
+    """The first ``rows`` rows of ``space``, each divided by its norm: what
+    ``induce_dictionary`` reads."""
+    return EmbeddingSpace(space.vocab[:rows], unit_rows(space.matrix[:rows], what, space.vocab))
 
 
 def align_supervised(
@@ -123,7 +136,10 @@ def induce_dictionary(aligned: SpacePair, vocab_cap: int) -> np.ndarray:
 
     Both sides are truncated to their first ``vocab_cap`` rows (file order
     = frequency order): ``nearest[i]`` is the target row paired with
-    source row ``i``. Ties go to the lower target index.
+    source row ``i``. Ties go to the lower target index. Those rows must
+    be unit rows (``unit_head`` makes them; an ``AlignedPair`` holds
+    them): cosines are taken as dot products, and a row whose squared norm
+    is off 1 by more than 2^-20 is an error naming its side.
 
     Cosines are screened in float32. A row keeps its float32 argmax only
     when every other column trails it by more than twice a bound on the
@@ -135,10 +151,15 @@ def induce_dictionary(aligned: SpacePair, vocab_cap: int) -> np.ndarray:
         raise ValueError("cannot induce a dictionary from an empty space")
     if vocab_cap < 1:
         raise ValueError(f"vocab_cap must be positive, got {vocab_cap}")
-    n_src = min(vocab_cap, len(aligned.source))
-    n_tgt = min(vocab_cap, len(aligned.target))
-    s32 = unit_rows(aligned.source.matrix[:n_src], "source").astype(np.float32)
-    t = unit_rows(aligned.target.matrix[:n_tgt], "target")
+    s = aligned.source.matrix[:vocab_cap]
+    t = aligned.target.matrix[:vocab_cap]
+    for head, what in ((s, "source"), (t, "target")):
+        off = np.abs(np.einsum("ij,ij->i", head, head) - 1)
+        bad = np.flatnonzero(~(off <= UNIT_TOL))  # a NaN norm is off too
+        if bad.size:
+            raise ValueError(f"induce_dictionary needs unit rows: the squared norm of {what} "
+                             f"row {bad[0]} is off 1 by {off[bad[0]]:.3g}")
+    s32 = s.astype(np.float32)
     # Error bound of the screen. For unit rows x, y of dimension d, each term
     # x_i*y_i of a float32 score meets at most d + 2 roundings of unit
     # u = 2^-24: two inputs, the product unless fused, and at most d - 1
@@ -153,8 +174,8 @@ def induce_dictionary(aligned: SpacePair, vocab_cap: int) -> np.ndarray:
     # rounds to float32 when top is a float32 scalar.
     d = s32.shape[1]
     g32, g64 = (d + 2) * 2.0**-24, d * 2.0**-53
-    err = (1 + 2.0**-20) * (g32 / (1 - g32) + g64 / (1 - g64)) + 4 * d * 2.0**-126
-    nearest = np.empty(n_src, dtype=np.intp)
+    err = (1 + UNIT_TOL) * (g32 / (1 - g32) + g64 / (1 - g64)) + 4 * d * 2.0**-126
+    nearest = np.empty(len(s), dtype=np.intp)
     rescored = 0
     for start, stop, sims in _score_chunks(s32, t.astype(np.float32).T):
         rows = np.arange(stop - start)
@@ -163,11 +184,11 @@ def induce_dictionary(aligned: SpacePair, vocab_cap: int) -> np.ndarray:
         sims[rows, best] = -np.inf
         if (sims.max(axis=1) >= top - 2 * err).any():
             rescored += 1
-            best = np.argmax(unit_rows(aligned.source.matrix[start:stop], "source") @ t.T, axis=1)
+            best = np.argmax(s[start:stop] @ t.T, axis=1)
         nearest[start:stop] = best
     log.debug(
         "induce_dictionary: re-scored %d of %d chunks in float64",
-        rescored, -(-n_src // CHUNK_ROWS),
+        rescored, -(-len(s) // CHUNK_ROWS),
     )
     return nearest
 
@@ -180,15 +201,16 @@ def iterate_self_learning(
 ) -> AlignedPair:
     """Alternate Procrustes fitting with dictionary induction.
 
-    Each iteration fits on the current training rows, maps the source,
-    induces a fresh dictionary over the capped vocabulary, and scores it by
-    mean induced-pair cosine. The loop stops when the score improves by
-    less than the convergence tolerance or the iteration budget runs out;
-    the best-scoring map wins. Every fit keeps all seed rows, and an induced
+    Each iteration fits on the current training rows, maps the capped
+    source rows, induces a fresh dictionary over the capped vocabulary, and
+    scores it by mean induced-pair cosine. The loop stops when the score
+    improves by less than the convergence tolerance or the iteration
+    budget runs out; the best-scoring map wins. Every fit keeps all seed rows, and an induced
     pair adds nothing when a seed pair already resolved to its two rows.
     Each iteration logs at DEBUG its training-row count, score, induced
     pairs added and the fraction of induced targets that changed (1 on the
-    first iteration); the kept iteration is logged at INFO.
+    first iteration); the kept iteration is logged at INFO. Only the kept
+    map is applied to the whole source, once, after the loop.
     """
     config = config or AlignmentConfig()
     pair = SpacePair(src, tgt)
@@ -198,16 +220,20 @@ def iterate_self_learning(
     seed_src, seed_tgt = seed_src[kept], seed_tgt[kept]
     repeats = seed_src * len(tgt_n) + seed_tgt
     rows_src, rows_tgt = seed_src, seed_tgt
+    cap = config.induction_vocab_cap
+    src_head = EmbeddingSpace(src_n.vocab[:cap], src_n.matrix[:cap])
+    tgt_head = unit_head(tgt_n, cap, "target")
     nearest = None
     best_w: LinearMap | None = None
     best_score, best_iteration, previous = -np.inf, 0, -np.inf
     for iteration in range(1, config.max_iterations + 1):
-        mapped = None  # drop the last iteration's space before the next is built
+        heads = None  # drop the last iteration's unit rows before the next fit
         w = fit_procrustes(src_n.matrix[rows_src], tgt_n.matrix[rows_tgt])
-        mapped = apply_map(w, src_n)
+        heads = SpacePair(src_head.with_matrix(unit_rows(src_head.matrix @ w.matrix, "source")),
+                          tgt_head)
         last = nearest
-        nearest = induce_dictionary(SpacePair(mapped, tgt_n), config.induction_vocab_cap)
-        score = mean_pair_cosine(mapped, tgt_n, nearest)
+        nearest = induce_dictionary(heads, cap)
+        score = mean_pair_cosine(heads.source, heads.target, nearest)
         new = ~np.isin(np.arange(nearest.size) * len(tgt_n) + nearest, repeats)
         changed = 1.0 if last is None else float(np.mean(nearest != last))
         log.debug(
@@ -226,7 +252,5 @@ def iterate_self_learning(
         "self-learning kept iteration %d of %d: mean induced cosine %.6f",
         best_iteration, iteration, best_score,
     )
-    if best_iteration < iteration:
-        mapped = None  # drop the last iteration's space before the kept one is mapped
-        mapped = apply_map(best_w, src_n)
-    return AlignedPair(mapped, tgt_n, best_w, iterations_run=iteration)
+    heads = tgt_head = None  # drop the unit rows before the whole source is mapped
+    return AlignedPair(apply_map(best_w, src_n), tgt_n, best_w, iterations_run=iteration)

@@ -27,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .alignment import (AlignedPair, AlignmentConfig, SpacePair, align_supervised,
-                        induce_dictionary, iterate_self_learning)
+                        induce_dictionary, iterate_self_learning, unit_head)
 from .embeddings import _run_forked, load_space, save_space
 from .evaluation import (
     DEFAULT_HYPERNYM_K,
@@ -146,8 +146,10 @@ def cmd_refine(args) -> int:
 
 def cmd_induce(args) -> int:
     pair = _load_pair(args)
-    induced = BilingualLexicon([(pair.source.vocab[i], pair.target.vocab[j])
-                                for i, j in enumerate(induce_dictionary(pair, args.cap))])
+    heads = SpacePair(unit_head(pair.source, args.cap, "source"),
+                      unit_head(pair.target, args.cap, "target"))
+    induced = BilingualLexicon([(heads.source.vocab[i], heads.target.vocab[j])
+                                for i, j in enumerate(induce_dictionary(heads, args.cap))])
     save_lexicon(induced, args.out)
     print(f"induced {len(induced)} pairs")
     return 0

@@ -52,6 +52,7 @@ log = logging.getLogger(__name__)
 HASH_CHUNK_BYTES = 1 << 20
 # About 20 ms of ``repr`` per range, against 1-2 ms for a fork.
 MIN_RANGE_COMPONENTS = 1 << 15
+UNIT_BLOCK_ROWS = 256
 
 
 def format_row(row: np.ndarray) -> str:
@@ -381,14 +382,22 @@ def save_space(space: EmbeddingSpace, path) -> None:
 def unit_rows(matrix: np.ndarray, what: str = "row", vocab: list[str] | None = None) -> np.ndarray:
     """A contiguous float64 copy of ``matrix`` with every row divided by its
     Euclidean norm. A zero row is an error naming the ``what`` vector, and
-    its token when ``vocab`` labels the rows."""
-    matrix = np.ascontiguousarray(matrix, dtype=np.float64)
-    norms = np.linalg.norm(matrix, axis=1)
-    zero = np.flatnonzero(norms == 0.0)
-    if zero.size:
-        token = "" if vocab is None else f" of token {vocab[zero[0]]!r}"
-        raise ValueError(f"cannot unit-normalize zero {what} vector{token}")
-    return matrix / norms[:, None]
+    its token when ``vocab`` labels the rows.
+
+    Rows are taken UNIT_BLOCK_ROWS at a time as contiguous float64, so the
+    only temporaries are one block's; each row's norm and quotient do not
+    depend on the block, so the result is the whole matrix's bit for bit."""
+    matrix = np.asarray(matrix)
+    out = np.empty(matrix.shape, dtype=np.float64)
+    for start in range(0, len(matrix), UNIT_BLOCK_ROWS):
+        block = np.ascontiguousarray(matrix[start:start + UNIT_BLOCK_ROWS], dtype=np.float64)
+        norms = np.linalg.norm(block, axis=1)
+        zero = np.flatnonzero(norms == 0.0)
+        if zero.size:
+            token = "" if vocab is None else f" of token {vocab[start + zero[0]]!r}"
+            raise ValueError(f"cannot unit-normalize zero {what} vector{token}")
+        np.divide(block, norms[:, None], out=out[start:start + len(block)])
+    return out
 
 
 def normalize_unit(space: EmbeddingSpace) -> EmbeddingSpace:

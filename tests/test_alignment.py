@@ -16,8 +16,9 @@ from meemi.alignment import (
     iterate_self_learning,
     mean_pair_cosine,
     pair_cosines,
+    unit_head,
 )
-from meemi.embeddings import EmbeddingSpace
+from meemi.embeddings import EmbeddingSpace, normalize_unit
 from meemi.evaluation import eval_bli
 from meemi.fixtures import SyntheticSpec, make_rotated_pair
 from meemi.lexicon import BilingualLexicon, resolve, resolve_rows
@@ -184,6 +185,34 @@ class TestInduce:
         induced = induce_dictionary(pair, vocab_cap=10_000)
         assert len(induced) == len(fx.src.vocab)
 
+    @pytest.mark.parametrize("side", ["source", "target"])
+    def test_raw_rows_are_an_error_naming_the_side(self, side):
+        rng = np.random.default_rng(5)
+        raw = EmbeddingSpace([f"w{i}" for i in range(40)], rng.standard_normal((40, 6)))
+        unit_space = normalize_unit(raw)
+        pair = SpacePair(raw, unit_space) if side == "source" else SpacePair(unit_space, raw)
+        with pytest.raises(ValueError, match=f"needs unit rows: the squared norm of {side} row 0"):
+            induce_dictionary(pair, vocab_cap=40)
+        induce_dictionary(SpacePair(unit_space, unit_space), vocab_cap=40)
+
+    def test_rows_past_the_cap_are_not_checked(self):
+        rng = np.random.default_rng(6)
+        matrix = unit(rng.standard_normal((40, 6)))
+        matrix[30:] *= 2.0
+        space = EmbeddingSpace([f"w{i}" for i in range(40)], matrix)
+        assert np.array_equal(induce_dictionary(SpacePair(space, space), 30), np.arange(30))
+        with pytest.raises(ValueError, match="source row 30 is off 1 by 3"):
+            induce_dictionary(SpacePair(space, space), 31)
+
+    def test_squared_norm_within_two_to_the_minus_20_passes(self):
+        rng = np.random.default_rng(7)
+        matrix = unit(rng.standard_normal((20, 6)))
+        near = EmbeddingSpace([f"w{i}" for i in range(20)], matrix * np.sqrt(1 + 2.0**-21))
+        far = EmbeddingSpace([f"w{i}" for i in range(20)], matrix * np.sqrt(1 + 2.0**-19))
+        assert np.array_equal(induce_dictionary(SpacePair(near, near), 20), np.arange(20))
+        with pytest.raises(ValueError, match="needs unit rows"):
+            induce_dictionary(SpacePair(near, far), 20)
+
     @pytest.mark.parametrize("n_src, n_tgt, cap", [
         (50, 30, 40), (50, 30, 10_000), (30, 50, 40), (50, 30, 20), (1, 1, 5),
     ])
@@ -191,7 +220,8 @@ class TestInduce:
         rng = np.random.default_rng(n_src + n_tgt + cap)
         src = EmbeddingSpace([f"s{i}" for i in range(n_src)], rng.standard_normal((n_src, 6)))
         tgt = EmbeddingSpace([f"t{j}" for j in range(n_tgt)], rng.standard_normal((n_tgt, 6)))
-        nearest = induce_dictionary(SpacePair(src, tgt), vocab_cap=cap)
+        nearest = induce_dictionary(SpacePair(normalize_unit(src), normalize_unit(tgt)),
+                                    vocab_cap=cap)
         assert nearest.dtype == np.intp
         assert nearest.shape == (min(cap, n_src),)
         assert 0 <= nearest.min() and nearest.max() < min(cap, n_tgt)
@@ -204,9 +234,9 @@ def unit(matrix):
 
 
 def induced_rows(s, t):
-    """Target row induce_dictionary pairs with each source row."""
-    src = EmbeddingSpace([f"s{i}" for i in range(len(s))], s)
-    tgt = EmbeddingSpace([f"t{j}" for j in range(len(t))], t)
+    """Target row induce_dictionary pairs with each source row, once both are unit rows."""
+    src = EmbeddingSpace([f"s{i}" for i in range(len(s))], unit(s))
+    tgt = EmbeddingSpace([f"t{j}" for j in range(len(t))], unit(t))
     return induce_dictionary(SpacePair(src, tgt), vocab_cap=max(len(s), len(t)))
 
 
@@ -225,9 +255,9 @@ def rescored_chunks(caplog):
 
 class TestInductionMemory:
     def test_peak_holds_one_float64_copy(self, caplog):
-        # the float32 copies of both sides, the float64 target, the float32
-        # score block and a float64 fallback block come to about 3.4 capped
-        # matrices; a float64 copy of the source would add one more
+        # on unit rows, the float32 copies of both sides, the float32 score
+        # block and a float64 fallback block come to about 2.3 capped
+        # matrices; a float64 copy of either side would add one more
         fx = make_rotated_pair(SyntheticSpec(3000, 300, 3.0, 5))
         pair = align_supervised(fx.src, fx.tgt, subset(fx.gold, 0, 1500))
         tracemalloc.start()
@@ -238,7 +268,7 @@ class TestInductionMemory:
         finally:
             tracemalloc.stop()
         assert rescored_chunks(caplog) == (4, 12)  # the fallback runs
-        assert peak < 3.8 * pair.source.matrix.nbytes
+        assert peak < 2.4 * pair.source.matrix.nbytes
 
 
 class TestInductionScreen:
@@ -356,59 +386,104 @@ class TestSelfLearning:
 
 
 class TestSelfLearningMaps:
-    """With the scores fixed, count the maps the loop makes."""
+    """With the scores fixed, count the maps of the whole source the loop makes."""
 
-    def run(self, monkeypatch, scores):
+    @pytest.mark.parametrize("scores", [[0.1, 0.2, 0.3], [0.5, 0.4]],
+                             ids=["last_kept", "earlier_kept"])
+    def test_maps_the_whole_source_once_after_the_loop(self, monkeypatch, scores):
         fx = make_rotated_pair(SyntheticSpec(80, 8, noise_sigma=0.2, seed=6))
         seed = subset(fx.gold, 0, 30)
-        maps = []
+        events, maps = [], []
         def counted(w, space):
-            maps.append(w)
+            events.append("map")
+            maps.append((w, len(space)))
             return apply_map(w, space)
+        def scored(*args):
+            events.append("score")
+            return next(score)
         score = iter(scores)
         monkeypatch.setattr("meemi.alignment.apply_map", counted)
-        monkeypatch.setattr("meemi.alignment.mean_pair_cosine", lambda *args: next(score))
-        config = AlignmentConfig(max_iterations=3, induction_vocab_cap=80)
-        return fx, seed, maps, iterate_self_learning(fx.src, fx.tgt, seed, config)
-
-    def test_kept_last_iteration_is_not_mapped_again(self, monkeypatch):
-        fx, _, maps, got = self.run(monkeypatch, [0.1, 0.2, 0.3])
-        assert got.iterations_run == 3 and len(maps) == 3
-        assert got.map is maps[-1]
+        monkeypatch.setattr("meemi.alignment.mean_pair_cosine", scored)
+        config = AlignmentConfig(max_iterations=3, induction_vocab_cap=50)
+        got = iterate_self_learning(fx.src, fx.tgt, seed, config)
+        assert got.iterations_run == len(scores)
+        assert events == ["score"] * len(scores) + ["map"]
+        assert [(w is got.map, rows) for w, rows in maps] == [(True, 80)]
         expected = apply_map(got.map, apply_normalization(fx.src))
         assert np.array_equal(got.source.matrix, expected.matrix)
+        if scores[0] > scores[1]:  # the first iteration kept: plain alignment
+            plain = align_supervised(fx.src, fx.tgt, seed)
+            assert np.array_equal(got.map.matrix, plain.map.matrix)
+            assert np.array_equal(got.source.matrix, plain.source.matrix)
+            assert np.array_equal(got.target.matrix, plain.target.matrix)
 
-    def test_kept_earlier_iteration_is_mapped_again(self, monkeypatch):
-        fx, seed, maps, got = self.run(monkeypatch, [0.5, 0.4])
-        assert got.iterations_run == 2 and len(maps) == 3
-        assert got.map is maps[0] is maps[-1]
-        plain = align_supervised(fx.src, fx.tgt, seed)
-        assert np.array_equal(got.map.matrix, plain.map.matrix)
-        assert np.array_equal(got.source.matrix, plain.source.matrix)
-        assert np.array_equal(got.target.matrix, plain.target.matrix)
+
+def self_learning_peak(cap, scores=None, monkeypatch=None):
+    """The tracemalloc peak of three self-learning iterations from 200 seed
+    pairs on a 4000 x 300 pair, in matrices of that size; with ``scores``,
+    ``mean_pair_cosine`` returns them in turn."""
+    fx = make_rotated_pair(SyntheticSpec(4000, 300, 2.7, 1))
+    seed = subset(fx.gold, 0, 200)
+    if scores is not None:
+        score = iter(scores)
+        monkeypatch.setattr("meemi.alignment.mean_pair_cosine", lambda *args: next(score))
+    config = AlignmentConfig(max_iterations=3, convergence_tol=1e-12, induction_vocab_cap=cap)
+    tracemalloc.start()
+    try:
+        got = iterate_self_learning(fx.src, fx.tgt, seed, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.iterations_run == (3 if scores is None else len(scores))
+    return peak / fx.src.matrix.nbytes
 
 
 class TestSelfLearningMemory:
     @pytest.mark.parametrize("scores", [[0.1, 0.2, 0.3], [0.5, 0.4]],
                              ids=["last_kept", "earlier_kept"])
     def test_peak_holds_one_mapped_space(self, monkeypatch, scores):
-        # the normalized source and target, the one mapped space and the
-        # normalization's temporaries come to about 3.3 matrices; keeping the
-        # last iteration's mapped space while the next is built, or while an
-        # earlier kept iteration is mapped again, adds one more
-        fx = make_rotated_pair(SyntheticSpec(4000, 300, 2.7, 1))
-        seed = subset(fx.gold, 0, 200)
-        score = iter(scores)
-        monkeypatch.setattr("meemi.alignment.mean_pair_cosine", lambda *args: next(score))
-        config = AlignmentConfig(max_iterations=3, induction_vocab_cap=200)
-        tracemalloc.start()
-        try:
-            got = iterate_self_learning(fx.src, fx.tgt, seed, config)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert got.iterations_run == len(scores)
-        assert peak < 3.9 * fx.src.matrix.nbytes
+        # the normalized source and target, the whole source mapped once
+        # after the loop and the normalization's temporaries come to about
+        # 3.4 matrices; a whole mapped space kept from the loop adds one more
+        assert self_learning_peak(200, scores, monkeypatch) < 3.9
+
+    @pytest.mark.parametrize("cap, bound", [(2000, 4.45), (4000, 6.6)])
+    def test_peak_at_induction_caps(self, cap, bound):
+        # at cap 2000 the normalized spaces, the unit target head, one
+        # iteration's mapped head and its unit rows, and induction's float32
+        # copies and score blocks come to about 4.2 matrices; mapping the
+        # whole source every iteration and normalizing the head inside
+        # induction and scoring reached 4.7. At cap 4000 both read 6.5.
+        assert self_learning_peak(cap) < bound
+
+
+def whole_map_self_learning(src, tgt, seed_lexicon, config):
+    """The loop from public pieces, mapping the whole source every iteration
+    and normalizing the induction rows from that whole map. Returns the
+    pair and the kept iteration."""
+    src_n = apply_normalization(src)
+    tgt_n = apply_normalization(tgt)
+    seed_src, seed_tgt, kept = resolve_rows(seed_lexicon, src_n, tgt_n)
+    seed_src, seed_tgt = seed_src[kept], seed_tgt[kept]
+    rows_src, rows_tgt = seed_src, seed_tgt
+    cap = config.induction_vocab_cap
+    best, previous = (-np.inf, None, 0), -np.inf
+    for iteration in range(1, config.max_iterations + 1):
+        w = fit_procrustes(src_n.matrix[rows_src], tgt_n.matrix[rows_tgt])
+        heads = SpacePair(unit_head(apply_map(w, src_n), cap, "source"),
+                          unit_head(tgt_n, cap, "target"))
+        nearest = induce_dictionary(heads, cap)
+        score = mean_pair_cosine(heads.source, heads.target, nearest)
+        if score > best[0]:
+            best = (score, w, iteration)
+        if score - previous < config.convergence_tol:
+            break
+        previous = score
+        new = ~np.isin(np.arange(nearest.size) * len(tgt_n) + nearest,
+                       seed_src * len(tgt_n) + seed_tgt)
+        rows_src = np.concatenate([seed_src, np.flatnonzero(new)])
+        rows_tgt = np.concatenate([seed_tgt, nearest[new]])
+    return AlignedPair(apply_map(best[1], src_n), tgt_n, best[1], iteration), best[2]
 
 
 def reference_self_learning(src, tgt, seed_lexicon, config):
@@ -472,6 +547,29 @@ def awkward_seed(fx):
     pairs += [("nope", gold[0][1]), (gold[1][0], "nada"), ("NOPE", "NADA")]
     pairs += [(gold[3][0], gold[90][1]), (gold[3][0], gold[91][1]), gold[5], gold[4]]
     return BilingualLexicon(pairs)
+
+
+class TestSelfLearningOnHeads:
+    @pytest.mark.parametrize("cap", [1, 7, 257, 10_000])
+    @pytest.mark.parametrize("dim", [8, 300])
+    def test_matches_the_whole_map_loop(self, caplog, dim, cap):
+        # Mapping only the capped rows can round unlike the same rows of the
+        # whole product (a one-row head takes the matrix-vector path), so a
+        # score may move in its last bit; the kept map must not move.
+        fx = make_rotated_pair(SyntheticSpec(400, dim, noise_sigma=1.0, seed=12))
+        seed = subset(fx.gold, 0, 40)
+        config = AlignmentConfig(max_iterations=6, convergence_tol=1e-12, induction_vocab_cap=cap)
+        expected, kept = whole_map_self_learning(fx.src, fx.tgt, seed, config)
+        with caplog.at_level(logging.INFO, logger="meemi.alignment"):
+            got = iterate_self_learning(fx.src, fx.tgt, seed, config)
+        if dim == 300:
+            assert kept < expected.iterations_run  # an earlier iteration is kept
+        assert caplog.records[-1].getMessage().startswith(
+            f"self-learning kept iteration {kept} of {expected.iterations_run}: ")
+        assert got.iterations_run == expected.iterations_run
+        assert np.array_equal(got.map.matrix, expected.map.matrix)
+        assert np.array_equal(got.source.matrix, expected.source.matrix)
+        assert np.array_equal(got.target.matrix, expected.target.matrix)
 
 
 class TestSelfLearningOnRows:

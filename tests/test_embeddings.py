@@ -687,6 +687,33 @@ class TestNormalize:
         whole = unit_rows(matrix)
         assert unit_rows(matrix[start:stop]).tobytes() == whole[start:stop].tobytes()
 
+    @given(rows=st.sampled_from([1, 255, 256, 257]) | st.integers(2, 4).map(lambda n: 256 * n + 1),
+           dim=st.sampled_from([1, 3, 300]), layout=st.sampled_from(["C", "F", "float32"]),
+           seed=st.integers(0, 10_000))
+    @settings(max_examples=100, deadline=None)
+    def test_blocks_equal_the_one_expression(self, rows, dim, layout, seed):
+        """Row blocks give the whole matrix's expression bit for bit, in any
+        layout; the expression is taken on the contiguous float64 rows."""
+        rng = np.random.default_rng(seed)
+        matrix = rng.standard_normal((rows, dim)) * 10.0 ** rng.uniform(-20, 20, (rows, 1))
+        given_matrix = {"C": matrix, "F": np.asfortranarray(matrix),
+                        "float32": matrix.astype(np.float32)}[layout]
+        m = np.ascontiguousarray(given_matrix, dtype=np.float64)
+        got = unit_rows(given_matrix)
+        assert got.flags.c_contiguous and got.dtype == np.float64
+        assert got.tobytes() == (m / np.linalg.norm(m, axis=1)[:, None]).tobytes()
+        start = int(rng.integers(0, rows))
+        stop = int(rng.integers(start + 1, rows + 1))
+        assert unit_rows(given_matrix[start:stop]).tobytes() == got[start:stop].tobytes()
+
+    def test_zero_row_in_a_later_block_names_its_token(self):
+        matrix = np.ones((3 * embeddings.UNIT_BLOCK_ROWS, 4))
+        row = 2 * embeddings.UNIT_BLOCK_ROWS + 5
+        matrix[row] = matrix[row + 1] = 0.0
+        vocab = [f"w{i}" for i in range(len(matrix))]
+        with pytest.raises(ValueError, match=f"zero source vector of token 'w{row}'"):
+            unit_rows(matrix, "source", vocab)
+
 
 class TestLookup:
     def test_exact(self):
